@@ -26,7 +26,6 @@ from .decoder import (
     decode_objects,
     forward,
     isolate_single_mask,
-    joint_logprob,
     load_decoder_params,
     make_vocab,
     save_decoder_params,

@@ -1,11 +1,16 @@
 """Toy pre-norm transformer decoder with pluggable visibility masks.
 
-The attention implementation never reads a masked key: every query row
-gathers only its visible positions (as contiguous runs) before computing
-scores and the weighted value sum.  Masked key/value content therefore
-cannot perturb any other position's output, not even in the last floating
-point bit — which is what turns the cascade-mask independence claims into
-exact, testable identities.  Fully masked rows emit the zero vector.
+Attention runs over segment blocks: maximal runs of rows inside one layout
+segment in which every row sees its predecessor's keys plus, possibly,
+itself.  A block gathers the key set of its last row once; keys outside
+that set are never read, and a gathered key in a row's causal tail gets
+weight exactly 0.  So, for finite inputs, no masked key can change any
+output bit — which is what turns the cascade-mask independence claims into
+exact, testable identities.  Blocks stop at segment boundaries, so the
+length of every reduction a row takes part in depends only on its own
+segment; isolating an object therefore leaves the kept rows bit-identical.
+The forward needs the sequence's layout for this.  Fully masked rows emit
+the zero vector.
 
 Decoding fills pre-allocated output slots in a fixed layout (padding rows
 and columns stay dead until a slot is filled), so absolute positions do not
@@ -264,52 +269,56 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _visible_runs(bits: np.ndarray) -> list[list[tuple[int, int]]]:
-    """Per-row visible index set as contiguous [start, end) runs."""
-    runs_per_row = []
-    for row in bits:
-        idx = np.flatnonzero(row)
-        if idx.size == 0:
-            runs_per_row.append([])
-            continue
-        breaks = np.flatnonzero(np.diff(idx) > 1)
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [idx.size - 1]))
-        runs_per_row.append([(int(idx[s]), int(idx[e]) + 1) for s, e in zip(starts, ends)])
-    return runs_per_row
+def _segment_blocks(bits: np.ndarray, layout: SequenceLayout) -> list[tuple[int, int, np.ndarray]]:
+    """Query rows grouped as ``(start, stop, keys)`` attention blocks.
+
+    A block is a maximal run of non-empty rows inside one layout segment in
+    which every row sees exactly the previous row's keys, plus possibly
+    itself; row r then sees the entries of ``keys`` (the last row's visible
+    set) that are <= r.  Empty rows belong to no block.
+    """
+    n = bits.shape[0]
+    live = bits.any(axis=1)
+    changed = bits[1:] != bits[:-1]
+    changed[np.arange(n - 1), np.arange(1, n)] = False  # the later row's own diagonal
+    starts = live.copy()
+    starts[1:] &= ~(live[:-1] & ~changed.any(axis=1))
+    seg_starts = np.cumsum([0] + [seg.length for seg in layout.segments])[:-1]
+    seg_starts = seg_starts[seg_starts < n]
+    starts[seg_starts] = live[seg_starts]
+    first = np.flatnonzero(starts)
+    bounds = np.append(np.flatnonzero(starts | ~live), n)
+    stops = bounds[np.searchsorted(bounds, first, side="right")]
+    return [(int(a), int(b), np.flatnonzero(bits[b - 1])) for a, b in zip(first, stops)]
 
 
-def _attention(x_norm: np.ndarray, block: LayerWeights, heads: int, runs) -> np.ndarray:
-    """Index-skipping multi-head attention.
+def _attention(x_norm: np.ndarray, block: LayerWeights, heads: int, attn_blocks) -> np.ndarray:
+    """Multi-head attention: per ``_segment_blocks`` block, one key gather,
+    one batched score matmul and one value matmul.
 
-    Keys outside a query's visible runs are never touched by any arithmetic,
-    so their content cannot reach the output.  Rows with no visible keys
-    produce the zero vector.
+    A row's causal tail (gathered keys after the row) is set to -inf by
+    selection, so it gets weight exactly 0; keys outside the gathered set
+    are never read.  Rows in no block produce the zero vector.
     """
     n, dim = x_norm.shape
     dh = dim // heads
     scale = 1.0 / np.sqrt(dh)
-    q = (x_norm @ block.wq).reshape(n, heads, dh)
-    k = (x_norm @ block.wk).reshape(n, heads, dh)
-    v = (x_norm @ block.wv).reshape(n, heads, dh)
+    q = x_norm @ block.wq
+    k = x_norm @ block.wk
+    v = x_norm @ block.wv
 
     out = np.zeros((n, dim))
-    for qi in range(n):
-        row_runs = runs[qi]
-        if not row_runs:
-            continue
-        scores = [np.einsum("hd,mhd->hm", q[qi], k[s:e]) * scale for s, e in row_runs]
-        sc = np.concatenate(scores, axis=1)  # (heads, m_total)
-        sc -= sc.max(axis=1, keepdims=True)
+    for start, stop, keys in attn_blocks:
+        rows, m = stop - start, keys.size
+        q_b = q[start:stop].reshape(rows, heads, dh).transpose(1, 0, 2)  # (heads, rows, dh)
+        k_b = k[keys].reshape(m, heads, dh).transpose(1, 2, 0)  # (heads, dh, keys)
+        v_b = v[keys].reshape(m, heads, dh).transpose(1, 0, 2)  # (heads, keys, dh)
+        sc = (q_b @ k_b) * scale
+        sc = np.where(keys[None, :] > np.arange(start, stop)[:, None], -np.inf, sc)
+        sc -= sc.max(axis=-1, keepdims=True)
         e_sc = np.exp(sc)
-        w = e_sc / e_sc.sum(axis=1, keepdims=True)
-        acc = np.zeros((heads, dh))
-        offset = 0
-        for s, e in row_runs:
-            m = e - s
-            acc += np.einsum("hm,mhd->hd", w[:, offset : offset + m], v[s:e])
-            offset += m
-        out[qi] = acc.reshape(dim)
+        w = e_sc / e_sc.sum(axis=-1, keepdims=True)
+        out[start:stop] = (w @ v_b).transpose(1, 0, 2).reshape(rows, dim)
     return out @ block.wo
 
 
@@ -335,12 +344,14 @@ def forward_hidden(seq: TokenSequence, mask: AttentionMaskMatrix, params: Decode
     """Final-layernormed hidden states (n, dim) under the visibility mask."""
     if seq.n != mask.n:
         raise ValueError(f"shape error: sequence length {seq.n} != mask size {mask.n}")
+    if seq.layout is None:
+        raise ValueError("sequence must carry its layout")
     if not np.isfinite(seq.injected).all():
         raise ValueError("numeric error: non-finite injected values")
     x = embed_sequence(seq, params)
-    runs = _visible_runs(mask.bits)
+    attn_blocks = _segment_blocks(mask.bits, seq.layout)
     for block in params.blocks:
-        x = x + _attention(_layer_norm(x, block.ln1_g, block.ln1_b), block, params.heads, runs)
+        x = x + _attention(_layer_norm(x, block.ln1_g, block.ln1_b), block, params.heads, attn_blocks)
         h = _layer_norm(x, block.ln2_g, block.ln2_b)
         x = x + _gelu(h @ block.w1) @ block.w2
     return _layer_norm(x, params.ln_f_g, params.ln_f_b)
@@ -460,6 +471,8 @@ def decode_objects(
         config = CascadeConfig.full_cascade()
     if schedule not in ("round_robin", "sequential"):
         raise ValueError(f"unknown schedule {schedule!r}")
+    if max_label_len < 1:
+        raise ValueError(f"max_label_len must be >= 1, got {max_label_len}")
     grid = batch.image_tokens
     if grid.dim != params.enc_dim:
         raise ValueError("shape error: encoder dim does not match adapter input")
@@ -521,7 +534,7 @@ def decode_objects(
 
 
 # ---------------------------------------------------------------------------
-# Isolation, teacher forcing, joint probability
+# Isolation and teacher forcing
 # ---------------------------------------------------------------------------
 
 
@@ -602,11 +615,6 @@ def teacher_forced_loss(
     for pred_pos, target in pairs:
         total -= float(log_softmax(logits[pred_pos])[target])
     return total / len(pairs)
-
-
-def joint_logprob(result: DecodeResult) -> float:
-    """Joint log-probability: the sum of per-object log-probabilities."""
-    return float(sum(result.per_object_logprob))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 dataset filter pipeline.
 
 FLOPs are counted analytically (2*m*n*k per matmul; the attention
-interaction term is 2 * visible-pairs * dim, block-sparse aware) so the
-scaling property is checkable independent of hardware.  Wall time is
+interaction term is 4 * visible-pairs * dim, 2 * visible-pairs * dim each
+for Q.K^T and the weighted sum of V, block-sparse aware) so the scaling
+property is checkable independent of hardware.  Wall time is
 reported for context but never asserted.  The simulated single-mask
 comparator re-encodes and re-decodes per instance, i.e. exactly K times the
 K=1 cost.
@@ -67,7 +68,7 @@ class CostModel:
     def decoder_flops(self, n: int, visible_pairs: int, injected: int) -> int:
         d = self.dec_dim
         per_layer = 4 * 2 * n * d * d  # q, k, v, o projections
-        per_layer += 2 * visible_pairs * d  # masked attention interaction
+        per_layer += 4 * visible_pairs * d  # Q.K^T and A.V over visible pairs
         per_layer += 2 * 2 * n * d * 4 * d  # mlp up + down
         total = self.dec_layers * per_layer
         total += 2 * n * d * self.vocab_size  # output head

@@ -24,10 +24,6 @@ def _splitmix64(state: int):
     return state, z ^ (z >> 31)
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Xoshiro256StarStar:
     """xoshiro256** with splitmix64 seeding."""
 
@@ -41,14 +37,15 @@ class Xoshiro256StarStar:
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
+        x = (s1 * 5) & _MASK64
+        result = ((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64  # rotl(s1 * 5, 7) * 9
         t = (s1 << 17) & _MASK64
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = _rotl(s3, 45)
+        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64  # rotl(s3, 45)
         self._s = [s0, s1, s2, s3]
         return result
 
@@ -59,11 +56,9 @@ class Xoshiro256StarStar:
     def uniform(self, low: float, high: float, size) -> np.ndarray:
         """Array of uniforms in [low, high), filled in row-major draw order."""
         n = int(np.prod(size))
-        out = np.empty(n, dtype=np.float64)
         span = high - low
-        for i in range(n):
-            out[i] = low + span * self.random()
-        return out.reshape(size)
+        draws = (low + span * self.random() for _ in range(n))
+        return np.fromiter(draws, dtype=np.float64, count=n).reshape(size)
 
     def integers(self, n: int) -> int:
         """Uniform integer in [0, n) via 64-bit modulo (documented bias < 2**-53)."""
