@@ -162,7 +162,6 @@ def _cmd_bench(args) -> int:
         dec,
         text_len=args.text_len,
         repeats=args.repeats,
-        parallel=args.parallel,
     )
     include_timing = not args.flops_only
     if args.csv:
@@ -244,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enc-dim", type=int, default=16)
     p.add_argument("--csv", help="also write rows as CSV")
     p.add_argument("--flops-only", action="store_true", help="omit wall times for reproducible output")
-    p.add_argument("--parallel", action="store_true", help="encode crops in parallel")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("pipeline", help="area-ratio filter plus oracle re-query")

@@ -245,15 +245,13 @@ def run_scaling_bench(
     output_slots: int = OUTPUT_SLOTS,
     scale: float = 2.0,
     repeats: int = 5,
-    parallel: bool = False,
 ) -> ScalingReport:
     """Build real prompt batches, time the forward pass, and evaluate the
     FLOP model per instance count.
 
     Wall time covers prompt construction plus one decoder forward over the
     fully materialised layout; the median of ``repeats`` runs is reported.
-    FLOP numbers come from the analytic model and are identical whether or
-    not per-crop encoding runs in parallel.
+    FLOP numbers come from the analytic model.
     """
     if not k_values:
         raise ValueError("input error: k_values is empty")
@@ -267,7 +265,7 @@ def run_scaling_bench(
     text_ids = [dec_params.token_id(START)] * text_len
 
     # single-instance baseline for the simulated one-mask-per-pass comparator
-    k1_batch = build_prompt_batch(image, masks[:1], enc_params, scale=scale, parallel=parallel)
+    k1_batch = build_prompt_batch(image, masks[:1], enc_params, scale=scale)
     k1_layout = canonical_layout(
         k1_batch.image_tokens.rows * k1_batch.image_tokens.cols,
         text_len,
@@ -278,9 +276,7 @@ def run_scaling_bench(
 
     rows = []
     for k in k_values:
-        batch = build_prompt_batch(
-            image, masks[:k], enc_params, scale=scale, max_masks=max(30, k), parallel=parallel
-        )
+        batch = build_prompt_batch(image, masks[:k], enc_params, scale=scale, max_masks=max(30, k))
         mask_lens = [ts.count for ts in batch.mask_token_sets]
         layout = canonical_layout(
             batch.image_tokens.rows * batch.image_tokens.cols, text_len, mask_lens, output_slots
@@ -291,9 +287,7 @@ def run_scaling_bench(
         times = []
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
-            b = build_prompt_batch(
-                image, masks[:k], enc_params, scale=scale, max_masks=max(30, k), parallel=parallel
-            )
+            b = build_prompt_batch(image, masks[:k], enc_params, scale=scale, max_masks=max(30, k))
             seq = assemble_sequence(
                 layout,
                 dec_params,

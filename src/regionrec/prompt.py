@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import json
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encoder import EncoderParams, FeatureGrid, GRID_SIDE, encode
 from .maskio import BinaryMask, RasterImage
-from .region import context_crop_window, downsample_to_grid, extract_and_resize, resize_image, tight_bbox
+from .region import _check_dims, context_crop_window, downsample_to_grid, extract_and_resize, resize_image, tight_bbox
 
 MAX_MASKS = 30
 CONTEXT_SCALE = 2.0
@@ -89,7 +88,11 @@ def mask2token(
     grid: int = GRID_SIDE,
     mask_index: int = 0,
 ) -> MaskTokenSet:
-    """Run the full per-mask pipeline and select active-cell features."""
+    """Run the full per-mask pipeline and select active-cell features.
+
+    The mask must have the image's width and height (``ValueError`` otherwise).
+    """
+    _check_dims(image, mask)
     bbox = tight_bbox(mask)
     window = context_crop_window(bbox, scale, image.width, image.height)
     input_side = params.patch_side * grid
@@ -114,12 +117,10 @@ def build_prompt_batch(
     scale: float = CONTEXT_SCALE,
     max_masks: int = MAX_MASKS,
     grid: int = GRID_SIDE,
-    parallel: bool = False,
 ) -> PromptBatch:
-    """Encode the global image once and every mask independently.
+    """Encode the global image once and every mask independently, in order.
 
-    Mask order is preserved; the parallel path must produce bit-identical
-    results to the sequential one (per-mask work is pure).
+    Each set is exactly what ``mask2token`` gives for that mask alone.
     """
     if not masks:
         raise ValueError("need at least one mask")
@@ -127,17 +128,11 @@ def build_prompt_batch(
         raise ValueError(f"capacity error: {len(masks)} masks exceeds max_masks={max_masks}")
 
     image_tokens = encode_global(image, params, grid)
-
-    def one(i_mask):
-        i, m = i_mask
-        return mask2token(image, m, params, scale=scale, grid=grid, mask_index=i)
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            sets = list(pool.map(one, enumerate(masks)))
-    else:
-        sets = [one(im) for im in enumerate(masks)]
-    return PromptBatch(image_tokens=image_tokens, mask_token_sets=tuple(sets), context_scale=scale)
+    sets = tuple(
+        mask2token(image, m, params, scale=scale, grid=grid, mask_index=i)
+        for i, m in enumerate(masks)
+    )
+    return PromptBatch(image_tokens=image_tokens, mask_token_sets=sets, context_scale=scale)
 
 
 @dataclass(frozen=True)

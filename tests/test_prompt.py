@@ -87,13 +87,40 @@ def test_permuted_masks_permute_token_sets_bit_identically(rng):
     assert np.array_equal(fwd.image_tokens.values, rev.image_tokens.values)
 
 
-def test_parallel_batch_is_bit_identical(rng):
+def test_each_batch_set_equals_mask2token_alone(rng):
     img = _image(rng)
-    masks = [random_mask(rng, 64, 64, p=0.1) for _ in range(5)]
-    seq = build_prompt_batch(img, masks, ENC, parallel=False)
-    par = build_prompt_batch(img, masks, ENC, parallel=True)
-    for a, b in zip(seq.mask_token_sets, par.mask_token_sets):
-        assert np.array_equal(a.tokens, b.tokens)
+    masks = [random_mask(rng, 64, 64, p=float(rng.random() * 0.2 + 0.01)) for _ in range(5)]
+    batch = build_prompt_batch(img, masks, ENC)
+    for i, m in enumerate(masks):
+        alone = mask2token(img, m, ENC, mask_index=i)
+        assert np.array_equal(batch.mask_token_sets[i].tokens, alone.tokens)
+        assert np.array_equal(batch.mask_token_sets[i].grid_indices, alone.grid_indices)
+
+
+def test_mask_of_another_size_is_rejected(rng):
+    img = _image(rng)
+    wrong = BinaryMask.from_array(np.ones((10, 200), bool))
+    with pytest.raises(ValueError, match="shape"):
+        mask2token(img, wrong, ENC)
+    with pytest.raises(ValueError, match="shape"):
+        build_prompt_batch(img, [random_mask(rng, 64, 64), wrong], ENC)
+
+
+def test_cli_tokenize_exits_2_on_mask_of_another_size(tmp_path, capsys):
+    from regionrec import cli
+    from regionrec.maskio import MaskRecord, write_pgm, write_records
+
+    write_pgm(RasterImage.from_array(np.zeros((64, 64))), tmp_path / "img.pgm")
+    ok = MaskRecord(BinaryMask.from_array(np.ones((64, 64), bool)), "img")
+    wrong = MaskRecord(BinaryMask.from_array(np.ones((10, 200), bool)), "img")
+    argv = ["tokenize", "--image", str(tmp_path / "img.pgm"), "--out-dir", str(tmp_path / "out")]
+
+    write_records([ok], tmp_path / "ok.jsonl")
+    assert cli.main(argv + ["--masks", str(tmp_path / "ok.jsonl")]) == 0
+    write_records([ok, wrong], tmp_path / "wrong.jsonl")
+    assert cli.main(argv + ["--masks", str(tmp_path / "wrong.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: shape error") and err.count("\n") == 1
 
 
 def test_mask_independence_local_change(rng):

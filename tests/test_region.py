@@ -23,6 +23,99 @@ from regionrec.region import (
 from conftest import oracle_bilinear, oracle_grid_cells, random_mask
 
 
+# -- reference oracles: the unseparated four-fetch resampler and full-raster
+# mask scans; the library must match them bit for bit
+
+
+def ref_bilinear_sample(plane, xs, ys):
+    """2-D grids of sample coordinates, four masked corner fetches."""
+    h, w = plane.shape
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    dx = xs - x0
+    dy = ys - y0
+
+    def fetch(yy, xx):
+        valid = (xx >= 0) & (xx < w) & (yy >= 0) & (yy < h)
+        out = np.zeros(xx.shape, dtype=np.float64)
+        out[valid] = plane[yy[valid], xx[valid]]
+        return out
+
+    v00 = fetch(y0, x0)
+    v01 = fetch(y0, x0 + 1)
+    v10 = fetch(y0 + 1, x0)
+    v11 = fetch(y0 + 1, x0 + 1)
+    top = v00 * (1.0 - dx) + v01 * dx
+    bot = v10 * (1.0 - dx) + v11 * dx
+    return top * (1.0 - dy) + bot * dy
+
+
+def ref_resample(image, xs, ys):
+    """Per-channel sampling on the repeated (out_h, out_w) coordinate grids."""
+    gx = xs[None, :].repeat(len(ys), axis=0)
+    gy = ys[:, None].repeat(len(xs), axis=1)
+    planes = [ref_bilinear_sample(image.data[:, :, c], gx, gy) for c in range(image.channels)]
+    return np.stack(planes, axis=-1)
+
+
+def ref_extract_and_resize(image, window, out_side):
+    coords = (np.arange(out_side) + 0.5) * (window.side / out_side) - 0.5
+    return ref_resample(image, window.x0 + coords, window.y0 + coords)
+
+
+def ref_resize_image(image, out_w, out_h):
+    xs = (np.arange(out_w) + 0.5) * (image.width / out_w) - 0.5
+    ys = (np.arange(out_h) + 0.5) * (image.height / out_h) - 0.5
+    return ref_resample(image, xs, ys)
+
+
+def ref_tight_bbox(mask):
+    ys, xs = np.nonzero(mask.bits)
+    return BBox(int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
+
+
+def ref_downsample_to_grid(mask, window, rows, cols):
+    """Full-raster scan of true pixels, centroid fallback when none lands."""
+    ys, xs = np.nonzero(mask.bits)
+    cx = (xs + 0.5 - window.x0) * (cols / window.side)
+    cy = (ys + 0.5 - window.y0) * (rows / window.side)
+    col = np.floor(cx).astype(np.int64)
+    row = np.floor(cy).astype(np.int64)
+    inside = (col >= 0) & (col < cols) & (row >= 0) & (row < rows)
+    active = np.zeros((rows, cols), dtype=bool)
+    if inside.any():
+        active[row[inside], col[inside]] = True
+    else:
+        mx = float(xs.mean()) + 0.5
+        my = float(ys.mean()) + 0.5
+        c = int(np.clip(math.floor((mx - window.x0) * cols / window.side), 0, cols - 1))
+        r = int(np.clip(math.floor((my - window.y0) * rows / window.side), 0, rows - 1))
+        active[r, c] = True
+    return active
+
+
+def _random_image(rng, h, w, channels=1):
+    shape = (h, w) if channels == 1 else (h, w, channels)
+    return RasterImage.from_array(rng.random(shape) * 255)
+
+
+def _random_window(rng, w, h, out_side):
+    """Window whose side is below, equal to or above out_side, centred inside,
+    on the border or wholly off the image, on integer or half-integer centres."""
+    sides = [max(1, out_side // 3), out_side, out_side * 3, int(rng.integers(1, 3 * out_side + 2))]
+    side = int(rng.choice(sides))
+    placement = rng.integers(3)
+    if placement == 0:  # inside
+        cx, cy = rng.random() * w, rng.random() * h
+    elif placement == 1:  # straddling the border
+        cx, cy = float(rng.choice([0, w])), rng.random() * h
+    else:  # wholly outside
+        cx, cy = -side - 1.0 - rng.random() * w, h + side + 1.0 + rng.random() * h
+    if rng.random() < 0.5:
+        cx, cy = math.floor(cx * 2) / 2, math.floor(cy * 2) / 2
+    return CropWindow(center_x=float(cx), center_y=float(cy), side=side)
+
+
 def _mask_from_points(points, w, h):
     bits = np.zeros((h, w), dtype=bool)
     for x, y in points:
@@ -43,6 +136,13 @@ def test_bbox_full_mask():
 
 def test_bbox_scans_all_true_bits():
     assert tight_bbox(_mask_from_points([(0, 0), (7, 2)], 10, 10)) == BBox(0, 0, 8, 3)
+
+
+def test_bbox_matches_full_scan_oracle(rng):
+    for _ in range(50):
+        h, w = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        mask = random_mask(rng, w, h, p=float(rng.random() * 0.3))
+        assert tight_bbox(mask) == ref_tight_bbox(mask)
 
 
 # -- context_crop_window ------------------------------------------------------
@@ -126,6 +226,35 @@ def test_resize_image_square_stretch():
             assert out.plane()[r, c] == pytest.approx(oracle_bilinear(arr, x, y), abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "h,w,channels",
+    [(48, 64, 1), (48, 64, 3), (1, 30, 1), (30, 1, 1), (1, 1, 3)],
+    ids=["gray", "rgb", "one-row", "one-column", "one-pixel-rgb"],
+)
+@pytest.mark.parametrize("out_side", [1, 7, 16])
+def test_extract_matches_reference_bit_for_bit(rng, h, w, channels, out_side):
+    img = _random_image(rng, h, w, channels)
+    for _ in range(40):
+        win = _random_window(rng, w, h, out_side)
+        out = extract_and_resize(img, win, out_side)
+        assert np.array_equal(out.data, ref_extract_and_resize(img, win, out_side))
+
+
+def test_extract_wholly_outside_reads_zero():
+    img = RasterImage.from_array(np.full((8, 8, 3), 9.0))
+    out = extract_and_resize(img, CropWindow(center_x=-50.0, center_y=20.5, side=5), 4)
+    assert out.data.shape == (4, 4, 3) and not out.data.any()
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("out_w,out_h", [(64, 64), (5, 3), (1, 1), (97, 13), (20, 150)])
+def test_resize_image_matches_reference_bit_for_bit(rng, channels, out_w, out_h):
+    for h, w in [(48, 64), (1, 9), (9, 1)]:
+        img = _random_image(rng, h, w, channels)
+        out = resize_image(img, out_w, out_h)
+        assert np.array_equal(out.data, ref_resize_image(img, out_w, out_h))
+
+
 # -- downsample_to_grid -------------------------------------------------------
 
 
@@ -154,6 +283,31 @@ def test_grid_matches_per_pixel_oracle(rng):
         win = _window_for(mask, scale=float(rng.choice([1.0, 1.5, 2.0])))
         gm = downsample_to_grid(mask, win, 16, 16)
         assert np.array_equal(gm.active, oracle_grid_cells(mask, win, 16, 16))
+
+
+def test_grid_matches_full_scan_oracle(rng):
+    for _ in range(60):
+        h, w = int(rng.integers(1, 50)), int(rng.integers(1, 50))
+        mask = random_mask(rng, w, h, p=float(rng.random() * 0.2))
+        rows, cols = int(rng.integers(1, 17)), int(rng.integers(1, 17))
+        if rng.random() < 0.5:
+            win = _window_for(mask, scale=float(rng.choice([1.0, 1.5, 2.0])))
+        else:  # any window, including ones that miss the mask (centroid fallback)
+            win = _random_window(rng, w, h, max(rows, cols))
+        gm = downsample_to_grid(mask, win, rows, cols)
+        assert np.array_equal(gm.active, ref_downsample_to_grid(mask, win, rows, cols))
+
+
+def test_grid_centroid_fallback_matches_oracle(rng):
+    bits = np.zeros((40, 60), bool)
+    bits[30:36, 41:58] = rng.random((6, 17)) < 0.5
+    bits[31, 44] = True
+    mask = BinaryMask.from_array(bits)
+    misses = (CropWindow(center_x=5.5, center_y=4.0, side=6), CropWindow(center_x=50.0, center_y=-9.0, side=3))
+    for win in misses:
+        gm = downsample_to_grid(mask, win, 16, 16)
+        assert gm.count() == 1
+        assert np.array_equal(gm.active, ref_downsample_to_grid(mask, win, 16, 16))
 
 
 def test_grid_monotone_under_union(rng):
