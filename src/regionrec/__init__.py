@@ -14,9 +14,7 @@ from .attnmask import (
     build_cascade_mask,
     canonical_layout,
     dump_attention_mask,
-    extend_for_decode,
     parse_layout_header,
-    to_additive,
 )
 from .decoder import (
     DecodeResult,
@@ -76,14 +74,10 @@ from .region import (
     BBox,
     CropWindow,
     GridMask,
-    bounding_ellipse_mask,
     context_crop_window,
     downsample_to_grid,
     extract_and_resize,
-    render_blur2token,
-    render_fore2token,
     resize_image,
-    rotated_bbox_mask,
     tight_bbox,
 )
 

@@ -2,9 +2,8 @@
 
 A layout is an ordered list of typed segments over one decoding sequence:
 one image segment, an optional text segment, per-object mask segments,
-separators, and per-object output chunks.  The mask builder starts from the
-causal lower triangle and removes visibility according to three decoupling
-rules:
+separators, and per-object output chunks.  The mask is the causal lower
+triangle minus what three decoupling rules remove:
 
 1. mask segments do not see other mask segments;
 2. output chunks do not see earlier output chunks;
@@ -13,8 +12,9 @@ rules:
    tokens — nothing else, separators included.
 
 Separator rows attend to nothing; their attention output is defined as the
-zero vector downstream.  Matrices are plain dense boolean arrays at this
-scale.
+zero vector downstream.  The rules are one predicate over the (kind,
+instance) codes of a query segment and a key segment, which stay private to
+this module; matrices are plain dense boolean arrays at this scale.
 """
 
 from __future__ import annotations
@@ -92,18 +92,6 @@ class SequenceLayout:
     def num_objects(self) -> int:
         return sum(1 for s in self.segments if s.kind == MASK)
 
-    def position_kinds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-position (kind code, instance index or -1) arrays."""
-        kinds = np.empty(self.n, dtype=np.int8)
-        insts = np.full(self.n, -1, dtype=np.int32)
-        pos = 0
-        for seg in self.segments:
-            kinds[pos : pos + seg.length] = _KIND_CODE[seg.kind]
-            if seg.index is not None:
-                insts[pos : pos + seg.length] = seg.index
-            pos += seg.length
-        return kinds, insts
-
     def positions(self, kind: str, index: int | None = None) -> np.ndarray:
         """Positions of all tokens of a kind (optionally one instance)."""
         out = []
@@ -168,29 +156,27 @@ class CascadeConfig:
 
     (True, True) is the full cascade; (True, False) decouples only the mask
     segments; (False, True) only the output chunks; (False, False) is the
-    plain causal baseline.  ``output_sees_mask`` ablates mask visibility away
-    from output chunks entirely.
+    plain causal baseline.
     """
 
     region_decouple: bool = True
     output_decouple: bool = True
-    output_sees_mask: bool = True
 
     @classmethod
     def full_cascade(cls) -> "CascadeConfig":
-        return cls(True, True, True)
+        return cls(True, True)
 
     @classmethod
     def region_variant(cls) -> "CascadeConfig":
-        return cls(True, False, True)
+        return cls(True, False)
 
     @classmethod
     def output_variant(cls) -> "CascadeConfig":
-        return cls(False, True, True)
+        return cls(False, True)
 
     @classmethod
     def plain_causal(cls) -> "CascadeConfig":
-        return cls(False, False, True)
+        return cls(False, False)
 
 
 @dataclass(frozen=True)
@@ -204,7 +190,7 @@ class AttentionMaskMatrix:
         bits = np.asarray(self.bits, dtype=bool)
         if bits.shape != (self.n, self.n):
             raise ValueError("bits must be n x n")
-        if np.triu(bits, 1).any():
+        if (bits & ~np.tri(self.n, dtype=bool)).any():
             raise ValueError("attention mask exceeds the causal triangle")
         bits = bits.copy()
         bits.flags.writeable = False
@@ -213,138 +199,52 @@ class AttentionMaskMatrix:
     def visible_pairs(self) -> int:
         return int(self.bits.sum())
 
+    def without(self, positions: np.ndarray) -> "AttentionMaskMatrix":
+        """This mask with ``positions`` dead: their rows and columns cleared,
+        so they neither attend nor are attended."""
+        bits = self.bits.copy()
+        bits[positions, :] = False
+        bits[:, positions] = False
+        return AttentionMaskMatrix(n=self.n, bits=bits)
+
+
+def _visible(kq, iq, kk, ik, config: CascadeConfig) -> np.ndarray:
+    """May a query of segment kind ``kq`` and instance ``iq`` see an earlier
+    key of kind ``kk`` and instance ``ik``?
+
+    Arguments are broadcastable arrays of kind codes and instance indices
+    (-1 for kinds without one).  Every rule depends on (kind, instance) only,
+    so visibility is uniform inside each (query segment, key segment) pair.
+    """
+    vis = kq != _KIND_CODE[SEP]
+    if config.region_decouple:
+        vis = vis & ~((kq == _KIND_CODE[MASK]) & (kk == _KIND_CODE[MASK]) & (ik != iq))
+    if config.output_decouple:
+        vis = vis & ~((kq == _KIND_CODE[OUT]) & (kk == _KIND_CODE[OUT]) & (ik < iq))
+    if config.region_decouple and config.output_decouple:
+        own = ((kk == _KIND_CODE[MASK]) | (kk == _KIND_CODE[OUT])) & (ik == iq)
+        shared = (kk == _KIND_CODE[IMAGE]) | (kk == _KIND_CODE[TEXT])
+        vis = vis & ((kq != _KIND_CODE[OUT]) | shared | own)
+    return vis
+
 
 def build_cascade_mask(layout: SequenceLayout, config: CascadeConfig) -> AttentionMaskMatrix:
     """Construct the visibility matrix for a layout under a config.
 
-    Starts from the causal lower triangle, then removes mask-to-other-mask
-    attention, output-to-earlier-output attention, and (full cascade) limits
-    output rows to image + text + own mask + own prior tokens.  Separator
-    rows are zeroed last.
+    ``_visible`` fills an S x S table over the layout's S segments; the table
+    is expanded to positions by each segment's length on both axes and cut
+    to the causal lower triangle.
     """
-    n = layout.n
-    kinds, insts = layout.position_kinds()
-    bits = np.tril(np.ones((n, n), dtype=bool))
-
-    mask_cols = kinds == _KIND_CODE[MASK]
-    full = config.region_decouple and config.output_decouple
-
-    if config.region_decouple:
-        for i in range(layout.num_objects):
-            rows = layout.positions(MASK, i)
-            other = mask_cols & (insts != i)
-            if rows.size and other.any():
-                bits[np.ix_(rows, np.flatnonzero(other))] = False
-
-    for i in range(layout.num_objects):
-        rows = layout.positions(OUT, i)
-        if not rows.size:
-            continue
-        if full:
-            allowed = (kinds == _KIND_CODE[IMAGE]) | (kinds == _KIND_CODE[TEXT])
-            allowed |= (kinds == _KIND_CODE[OUT]) & (insts == i)
-            if config.output_sees_mask:
-                allowed |= mask_cols & (insts == i)
-            bits[rows] &= allowed[None, :]
-        else:
-            if config.output_decouple:
-                earlier = (kinds == _KIND_CODE[OUT]) & (insts < i) & (insts >= 0)
-                if earlier.any():
-                    bits[np.ix_(rows, np.flatnonzero(earlier))] = False
-            if not config.output_sees_mask and mask_cols.any():
-                bits[np.ix_(rows, np.flatnonzero(mask_cols))] = False
-
-    sep_rows = layout.positions(SEP)
-    if sep_rows.size:
-        bits[sep_rows] = False
-
-    return AttentionMaskMatrix(n=n, bits=bits)
-
-
-def to_additive(mask: AttentionMaskMatrix) -> np.ndarray:
-    """Visibility to additive form: True -> 0.0, False -> -inf.
-
-    Downstream attention must give exactly zero weight to -inf entries.
-    """
-    return np.where(mask.bits, 0.0, -np.inf)
-
-
-def _pair_visible(kinds, insts, config: CascadeConfig, q: int, k: int) -> bool:
-    """Single (query, key) visibility under the segment rules."""
-    if k > q:
-        return False
-    qk, qi = int(kinds[q]), int(insts[q])
-    kk, ki = int(kinds[k]), int(insts[k])
-    if qk == _KIND_CODE[SEP]:
-        return False
-    if config.region_decouple and qk == _KIND_CODE[MASK] and kk == _KIND_CODE[MASK] and ki != qi:
-        return False
-    if qk == _KIND_CODE[OUT]:
-        if config.region_decouple and config.output_decouple:
-            if kk in (_KIND_CODE[IMAGE], _KIND_CODE[TEXT]):
-                return True
-            if kk == _KIND_CODE[MASK]:
-                return config.output_sees_mask and ki == qi
-            if kk == _KIND_CODE[OUT]:
-                return ki == qi
-            return False
-        if config.output_decouple and kk == _KIND_CODE[OUT] and 0 <= ki < qi:
-            return False
-        if not config.output_sees_mask and kk == _KIND_CODE[MASK]:
-            return False
-    return True
-
-
-def extend_for_decode(
-    mask: AttentionMaskMatrix,
-    layout: SequenceLayout,
-    new_token_owner: int,
-    config: CascadeConfig | None = None,
-) -> tuple[AttentionMaskMatrix, SequenceLayout]:
-    """Grow output chunk ``new_token_owner`` by one token.
-
-    The new row/column is inserted at the chunk's end and filled by the same
-    per-pair rules the batch builder uses, so chaining extensions always
-    matches a from-scratch rebuild on the grown layout.  Under the full
-    cascade the new row sees exactly image, text, its own mask segment, and
-    its own chunk including itself, and every existing row gains a false
-    column.
-    """
-    if config is None:
-        config = CascadeConfig.full_cascade()
-    k = layout.num_objects
-    if not 0 <= new_token_owner < k:
-        raise IndexError(f"owner {new_token_owner} out of range for K={k}")
-
-    segments = []
-    insert_at = None
-    pos = 0
-    for seg in layout.segments:
-        if seg.kind == OUT and seg.index == new_token_owner:
-            segments.append(Segment(OUT, seg.length + 1, seg.index))
-            insert_at = pos + seg.length
-        else:
-            segments.append(seg)
-        pos += seg.length
-    grown = SequenceLayout(tuple(segments))
-
-    n = layout.n
-    p = insert_at
-    old = mask.bits
-    bits = np.zeros((n + 1, n + 1), dtype=bool)
-    bits[:p, :p] = old[:p, :p]
-    bits[:p, p + 1 :] = old[:p, p:]
-    bits[p + 1 :, :p] = old[p:, :p]
-    bits[p + 1 :, p + 1 :] = old[p:, p:]
-
-    kinds, insts = grown.position_kinds()
-    for j in range(n + 1):
-        bits[p, j] = _pair_visible(kinds, insts, config, p, j)
-    for q in range(n + 1):
-        if q != p:
-            bits[q, p] = _pair_visible(kinds, insts, config, q, p)
-
-    return AttentionMaskMatrix(n=n + 1, bits=bits), grown
+    segments = layout.segments
+    lengths = [seg.length for seg in segments]
+    kinds = np.array([_KIND_CODE[seg.kind] for seg in segments])
+    insts = np.array([-1 if seg.index is None else seg.index for seg in segments])
+    table = _visible(kinds[:, None], insts[:, None], kinds[None, :], insts[None, :], config)
+    # the plain causal table depends on the query only and comes back S x 1
+    table = np.broadcast_to(table, (len(segments), len(segments)))
+    bits = np.repeat(np.repeat(table, lengths, axis=0), lengths, axis=1)
+    bits &= np.tri(layout.n, dtype=bool)
+    return AttentionMaskMatrix(n=layout.n, bits=bits)
 
 
 def dump_attention_mask(mask: AttentionMaskMatrix, layout: SequenceLayout) -> str:

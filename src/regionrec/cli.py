@@ -45,14 +45,11 @@ def _emit(args, text: str) -> None:
 
 
 def _coerce(value: str):
+    """Booleans for the on/off flags; everything else stays a string, which
+    argparse converts with the option's own ``type`` like a typed flag."""
     lowered = value.lower()
     if lowered in ("true", "false"):
         return lowered == "true"
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            pass
     return value
 
 
@@ -253,7 +250,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-records", help="write surviving records here")
     p.set_defaults(func=_cmd_pipeline)
 
+    # also after the subcommand; SUPPRESS keeps an absent sub-flag from
+    # resetting a top-level --pretty
+    for p in sub.choices.values():
+        p.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS, help="indent JSON output")
     return parser
+
+
+def _apply_config(parser: argparse.ArgumentParser, command: str, values: dict) -> None:
+    """Make config values the defaults of the parser that owns each key.
+
+    A subcommand's own defaults override the top-level parser's, so keys of
+    subcommand options go to the chosen subcommand's parser; the rest (the
+    top-level options) go to the top-level parser.
+    """
+    top = {action.dest for action in parser._actions}
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parser.set_defaults(**{k: v for k, v in values.items() if k in top})
+    subparsers.choices[command].set_defaults(**{k: v for k, v in values.items() if k not in top})
 
 
 def main(argv=None) -> int:
@@ -261,7 +275,7 @@ def main(argv=None) -> int:
     try:
         pre, _ = parser.parse_known_args(argv)
         if pre.config:
-            parser.set_defaults(**_read_config(pre.config))
+            _apply_config(parser, pre.command, _read_config(pre.config))
         args = parser.parse_args(argv)
         if args.seed is None:
             args.seed = int(os.environ.get("WOW_SEED", "0"))

@@ -444,15 +444,6 @@ def _mask_last_positions(layout: SequenceLayout) -> dict[int, int]:
     return last
 
 
-def _runtime_mask(base_bits: np.ndarray, unfilled: np.ndarray) -> AttentionMaskMatrix:
-    """Dead rows and columns for output slots that hold no token yet."""
-    bits = base_bits.copy()
-    if unfilled.size:
-        bits[unfilled, :] = False
-        bits[:, unfilled] = False
-    return AttentionMaskMatrix(n=bits.shape[0], bits=bits)
-
-
 def decode_objects(
     batch: PromptBatch,
     text_ids,
@@ -498,11 +489,11 @@ def decode_objects(
 
     def step(i: int) -> None:
         start, stop = spans[i]
+        # output slots that hold no token yet are dead
         unfilled = np.concatenate(
             [np.arange(spans[j][0] + fill[j], spans[j][1]) for j in range(k)]
         )
-        eff = _runtime_mask(base.bits, unfilled)
-        logits = forward(seq.with_ids(ids), eff, params)
+        logits = forward(seq.with_ids(ids), base.without(unfilled), params)
         anchor = start + fill[i] - 1 if fill[i] > 0 else anchors[i]
         lp = log_softmax(logits[anchor])
         tok = int(np.argmax(logits[anchor]))
@@ -564,16 +555,11 @@ def isolate_single_mask(
 
     ids = seq.ids.copy()
     injected = seq.injected.copy()
-    base = build_cascade_mask(layout, config)
-    bits = base.bits.copy()
-    if drop.size:
-        ids[drop] = pad_id
-        injected[drop] = 0.0
-        bits[drop, :] = False
-        bits[:, drop] = False
+    ids[drop] = pad_id
+    injected[drop] = 0.0
     return (
         TokenSequence(ids=ids, injected=injected, layout=layout),
-        AttentionMaskMatrix(n=layout.n, bits=bits),
+        build_cascade_mask(layout, config).without(drop),
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attnmask import AttentionMaskMatrix, CascadeConfig, SequenceLayout, build_cascade_mask, canonical_layout
+from .attnmask import IMAGE, MASK, AttentionMaskMatrix, CascadeConfig, SequenceLayout, build_cascade_mask, canonical_layout
 from .decoder import START, DecoderParams, assemble_sequence, forward, make_vocab
 from .encoder import EncoderParams
 from .maskio import BinaryMask, MaskRecord, RasterImage, area_ratio_filter
@@ -109,8 +109,7 @@ def estimate_cost(
     decoder pass over the multi-instance sequence."""
     per_crop = model.crop_resize_flops() + model.encoder_flops_per_crop()
     encoder = (k + 1) * per_crop  # K crops + the global image
-    kinds, _ = layout.position_kinds()
-    injected = int((kinds == 0).sum() + (kinds == 3).sum())  # image + mask rows
+    injected = sum(seg.length for seg in layout.segments if seg.kind in (IMAGE, MASK))
     decoder = model.decoder_flops(layout.n, mask.visible_pairs(), injected)
     return CostBreakdown(encoder_flops=encoder, decoder_flops=decoder, visible_pairs=mask.visible_pairs())
 

@@ -1,5 +1,5 @@
-"""Mask geometry: bounding boxes, context crop windows, bilinear resampling,
-grid downsampling, geometric prompt shapes, and whole-image mask renderings.
+"""Mask geometry: bounding boxes, context crop windows, bilinear resampling
+and grid downsampling.
 
 Coordinate conventions used throughout:
 
@@ -23,11 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .maskio import BinaryMask, RasterImage
-
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -226,105 +223,7 @@ def downsample_to_grid(mask: BinaryMask, window: CropWindow, rows: int, cols: in
 
 
 # ---------------------------------------------------------------------------
-# Geometric prompt shapes
-# ---------------------------------------------------------------------------
-
-
-def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain convex hull, counter-clockwise, no duplicate endpoint."""
-    pts = np.unique(points, axis=0)
-    if len(pts) <= 2:
-        return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.asarray(lower[:-1] + upper[:-1], dtype=np.float64)
-
-
-def min_area_rect(points: np.ndarray) -> tuple[float, float, tuple]:
-    """Minimum-area enclosing rectangle of a point set.
-
-    Returns (angle, area, extents) where extents = (minx, maxx, miny, maxy)
-    in the frame rotated by -angle.  Uses the classic fact that an optimal
-    rectangle shares an edge direction with the convex hull.
-    """
-    hull = _convex_hull(np.asarray(points, dtype=np.float64))
-    if len(hull) == 1:
-        return 0.0, 0.0, (hull[0, 0], hull[0, 0], hull[0, 1], hull[0, 1])
-    best = None
-    m = len(hull)
-    for i in range(m):
-        dx, dy = hull[(i + 1) % m] - hull[i]
-        if dx == 0.0 and dy == 0.0:
-            continue
-        angle = math.atan2(dy, dx)
-        c, s = math.cos(-angle), math.sin(-angle)
-        rx = hull[:, 0] * c - hull[:, 1] * s
-        ry = hull[:, 0] * s + hull[:, 1] * c
-        area = (rx.max() - rx.min()) * (ry.max() - ry.min())
-        if best is None or area < best[1]:
-            best = (angle, area, (rx.min(), rx.max(), ry.min(), ry.max()))
-    return best
-
-
-def rotated_bbox_mask(mask: BinaryMask) -> BinaryMask:
-    """Rasterised minimum-area rotated rectangle enclosing all true bits.
-
-    The rectangle encloses the full unit squares of the true pixels, so every
-    input pixel centre is strictly covered in the output.
-    """
-    ys, xs = np.nonzero(mask.bits)
-    # all four corners of every true pixel square
-    corners = np.empty((len(xs) * 4, 2), dtype=np.float64)
-    corners[0::4] = np.stack([xs, ys], axis=1)
-    corners[1::4] = np.stack([xs + 1, ys], axis=1)
-    corners[2::4] = np.stack([xs, ys + 1], axis=1)
-    corners[3::4] = np.stack([xs + 1, ys + 1], axis=1)
-    angle, _, (minx, maxx, miny, maxy) = min_area_rect(corners)
-
-    gy, gx = np.mgrid[0 : mask.height, 0 : mask.width]
-    px = gx + 0.5
-    py = gy + 0.5
-    c, s = math.cos(-angle), math.sin(-angle)
-    rx = px * c - py * s
-    ry = px * s + py * c
-    inside = (
-        (rx >= minx - _EPS) & (rx <= maxx + _EPS) & (ry >= miny - _EPS) & (ry <= maxy + _EPS)
-    )
-    return BinaryMask.from_array(inside)
-
-
-def bounding_ellipse_mask(mask: BinaryMask) -> BinaryMask:
-    """Axis-aligned ellipse inscribed in the tight bbox scaled by sqrt(2).
-
-    Scaling the bbox by sqrt(2) about its centre makes the inscribed ellipse
-    pass through the original bbox corners, so it contains every true bit.
-    """
-    box = tight_bbox(mask)
-    cx, cy = box.center
-    a = math.sqrt(2.0) * box.width / 2.0
-    b = math.sqrt(2.0) * box.height / 2.0
-    gy, gx = np.mgrid[0 : mask.height, 0 : mask.width]
-    nx = (gx + 0.5 - cx) / a
-    ny = (gy + 0.5 - cy) / b
-    inside = nx * nx + ny * ny <= 1.0 + 1e-7
-    return BinaryMask.from_array(inside)
-
-
-# ---------------------------------------------------------------------------
-# Whole-image mask renderings
+# Input checks
 # ---------------------------------------------------------------------------
 
 
@@ -333,42 +232,3 @@ def _check_dims(image: RasterImage, mask: BinaryMask) -> None:
         raise ValueError(
             f"shape error: image {image.width}x{image.height} vs mask {mask.width}x{mask.height}"
         )
-
-
-def render_fore2token(
-    image: RasterImage, mask: BinaryMask, window: CropWindow, out_side: int = 448
-) -> RasterImage:
-    """White-fill the background, keep the foreground, then crop and resize."""
-    _check_dims(image, mask)
-    fg = mask.bits[:, :, None]
-    composited = RasterImage.from_array(np.where(fg, image.data, 255.0))
-    return extract_and_resize(composited, window, out_side)
-
-
-def gaussian_blur(image: RasterImage, sigma: float) -> RasterImage:
-    """Separable Gaussian blur, kernel radius ceil(3*sigma), zero-padded borders."""
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    radius = math.ceil(3.0 * sigma)
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
-    kernel /= kernel.sum()
-    out = image.data
-    out = convolve1d(out, kernel, axis=0, mode="constant", cval=0.0)
-    out = convolve1d(out, kernel, axis=1, mode="constant", cval=0.0)
-    return RasterImage.from_array(out)
-
-
-def render_blur2token(
-    image: RasterImage,
-    mask: BinaryMask,
-    window: CropWindow,
-    sigma: float = 10.0,
-    out_side: int = 448,
-) -> RasterImage:
-    """Blur the background, keep the foreground, then crop and resize."""
-    _check_dims(image, mask)
-    blurred = gaussian_blur(image, sigma)
-    fg = mask.bits[:, :, None]
-    composited = RasterImage.from_array(np.where(fg, image.data, blurred.data))
-    return extract_and_resize(composited, window, out_side)

@@ -41,8 +41,7 @@ def oracle_cascade_bits(layout: SequenceLayout, config) -> np.ndarray:
       * region decoupling: a mask-row query never sees another mask segment;
       * output decoupling: an output-row query never sees an earlier chunk;
       * with both decouplings, an output-row query sees only image, text, its
-        own mask segment, and its own chunk;
-      * the output_sees_mask ablation removes all mask columns from output rows.
+        own mask segment, and its own chunk.
     """
     kinds, insts = oracle_position_table(layout)
     n = len(kinds)
@@ -55,12 +54,9 @@ def oracle_cascade_bits(layout: SequenceLayout, config) -> np.ndarray:
         vis &= ~((kq == O_MASK) & (kk == O_MASK) & (iq != ik))
     if config.output_decouple:
         vis &= ~((kq == O_OUT) & (kk == O_OUT) & (ik < iq))
-    if not config.output_sees_mask:
-        vis &= ~((kq == O_OUT) & (kk == O_MASK))
     if config.region_decouple and config.output_decouple:
         allowed = (kk == O_IMAGE) | (kk == O_TEXT) | ((kk == O_OUT) & (ik == iq))
-        if config.output_sees_mask:
-            allowed |= (kk == O_MASK) & (ik == iq)
+        allowed |= (kk == O_MASK) & (ik == iq)
         vis &= (kq != O_OUT) | allowed
     return vis
 

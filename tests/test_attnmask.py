@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 
 from regionrec.attnmask import (
+    AttentionMaskMatrix,
     CascadeConfig,
     Segment,
     SequenceLayout,
     build_cascade_mask,
     canonical_layout,
     dump_attention_mask,
-    extend_for_decode,
     parse_attention_dump,
     parse_layout_header,
-    to_additive,
 )
 
-from conftest import oracle_cascade_bits, random_layout
+from conftest import oracle_cascade_bits, oracle_position_table, random_layout
 
 FIG4 = parse_layout_header("image:2 text:1 mask0:2 sep:1 mask1:2 out0:1 sep:1 out1:1")
 
@@ -66,7 +65,7 @@ def test_region_only_variant_differs_from_full_exactly_at_output_rows():
     full = build_cascade_mask(FIG4, CascadeConfig.full_cascade())
     region = build_cascade_mask(FIG4, CascadeConfig.region_variant())
     diff = full.bits ^ region.bits
-    kinds, insts = FIG4.position_kinds()
+    kinds, insts = oracle_position_table(FIG4)
     # all differences are visibility the region variant restores to output rows:
     # other-instance masks, separators, and earlier output chunks
     for q, k in np.argwhere(diff):
@@ -82,11 +81,38 @@ def test_region_only_variant_differs_from_full_exactly_at_output_rows():
 
 
 def test_random_layouts_match_oracle_all_configs(rng):
-    for _ in range(150):
-        layout = random_layout(rng)
+    layouts = [random_layout(rng) for _ in range(150)]
+    # zero-length output chunks: the layout decode_objects starts from
+    for _ in range(40):
+        k = int(rng.integers(1, 5))
+        mask_lens = [int(rng.integers(1, 4)) for _ in range(k)]
+        layouts.append(canonical_layout(int(rng.integers(1, 4)), int(rng.integers(0, 3)), mask_lens, 0))
+    for layout in layouts:
         for config in ALL_CONFIGS:
             built = build_cascade_mask(layout, config)
             assert np.array_equal(built.bits, oracle_cascade_bits(layout, config))
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=["full", "region", "output", "causal"])
+def test_incremental_batch_equivalence_random_schedules(rng, config):
+    # decoding fills pre-allocated output slots and keeps the unfilled ones
+    # dead; after every step of any schedule, the live part of that mask is
+    # the mask of the layout whose chunks hold only the filled tokens
+    for _ in range(40):
+        k, slots = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        prefix = (int(rng.integers(1, 4)), int(rng.integers(0, 3)), [int(rng.integers(1, 4)) for _ in range(k)])
+        fixed = canonical_layout(*prefix, slots)
+        mask = build_cascade_mask(fixed, config)
+        fill = [0] * k
+        for owner in [None] + [int(rng.integers(0, k)) for _ in range(int(rng.integers(1, 9)))]:
+            if owner is not None and fill[owner] < slots:
+                fill[owner] += 1
+            dead = np.concatenate([fixed.positions("out", i)[fill[i]:] for i in range(k)])
+            live = np.setdiff1d(np.arange(fixed.n), dead)
+            grown = canonical_layout(*prefix, fill)
+            cut = mask.without(dead).bits
+            assert not cut[dead].any() and not cut[:, dead].any()
+            assert np.array_equal(cut[np.ix_(live, live)], oracle_cascade_bits(grown, config))
 
 
 def test_subset_of_causal(rng):
@@ -100,7 +126,7 @@ def test_subset_of_causal(rng):
 def test_three_principles_quantified(rng):
     for _ in range(25):
         layout = random_layout(rng)
-        kinds, insts = layout.position_kinds()
+        kinds, insts = oracle_position_table(layout)
         full = build_cascade_mask(layout, CascadeConfig.full_cascade()).bits
         k = layout.num_objects
         for i in range(k):
@@ -135,62 +161,12 @@ def test_variant_lattice(rng):
         assert not (region & ~causal).any()
 
 
-def test_additive_map():
-    built = build_cascade_mask(FIG4, CascadeConfig.full_cascade())
-    add = to_additive(built)
-    assert add.shape == built.bits.shape
-    assert (add[built.bits] == 0.0).all()
-    assert np.isneginf(add[~built.bits]).all()
-    sep_row = FIG4.positions("sep")[0]
-    assert np.isneginf(add[sep_row]).all()
-
-
-def test_extend_second_token_of_out0_in_fig4():
-    base = build_cascade_mask(FIG4, CascadeConfig.full_cascade())
-    grown_mask, grown_layout = extend_for_decode(base, FIG4, 0)
-    assert grown_layout.header() == "image:2 text:1 mask0:2 sep:1 mask1:2 out0:2 sep:1 out1:1"
-    new_pos = FIG4.positions("out", 0)[0] + 1  # inserted at the chunk end
-    visible = set(np.flatnonzero(grown_mask.bits[new_pos]).tolist())
-    expected = set(grown_layout.positions("image").tolist())
-    expected |= set(grown_layout.positions("text").tolist())
-    expected |= set(grown_layout.positions("mask", 0).tolist())
-    expected |= {int(grown_layout.positions("out", 0)[0]), int(new_pos)}
-    assert visible == expected
-
-
-def test_extend_out1_sees_nothing_of_object0():
-    base = build_cascade_mask(FIG4, CascadeConfig.full_cascade())
-    grown_mask, grown_layout = extend_for_decode(base, FIG4, 1)
-    new_pos = grown_layout.positions("out", 1)[-1]
-    forbidden = np.concatenate([grown_layout.positions("mask", 0), grown_layout.positions("out", 0)])
-    assert not grown_mask.bits[new_pos, forbidden].any()
-
-
-def test_extend_then_rebuild_identity():
-    base = build_cascade_mask(FIG4, CascadeConfig.full_cascade())
-    grown_mask, grown_layout = extend_for_decode(base, FIG4, 0)
-    rebuilt = build_cascade_mask(grown_layout, CascadeConfig.full_cascade())
-    assert np.array_equal(grown_mask.bits, rebuilt.bits)
-
-
-@pytest.mark.parametrize("config", ALL_CONFIGS, ids=["full", "region", "output", "causal"])
-def test_incremental_batch_equivalence_random_schedules(rng, config):
-    for _ in range(40):
-        k = int(rng.integers(1, 4))
-        layout = canonical_layout(int(rng.integers(1, 4)), int(rng.integers(0, 3)), [int(rng.integers(1, 4)) for _ in range(k)], 0)
-        mask = build_cascade_mask(layout, config)
-        owners = [int(rng.integers(0, k)) for _ in range(int(rng.integers(1, 9)))]
-        for owner in owners:
-            mask, layout = extend_for_decode(mask, layout, owner, config)
-        rebuilt = build_cascade_mask(layout, config)
-        assert np.array_equal(mask.bits, rebuilt.bits)
-        assert np.array_equal(mask.bits, oracle_cascade_bits(layout, config))
-
-
-def test_extend_owner_out_of_range():
-    base = build_cascade_mask(FIG4, CascadeConfig.full_cascade())
-    with pytest.raises(IndexError):
-        extend_for_decode(base, FIG4, 2)
+def test_bits_above_the_diagonal_are_rejected():
+    bits = np.tri(4, dtype=bool)
+    AttentionMaskMatrix(n=4, bits=bits)
+    bits[1, 3] = True
+    with pytest.raises(ValueError, match="causal triangle"):
+        AttentionMaskMatrix(n=4, bits=bits)
 
 
 def test_dump_round_trip():
@@ -223,7 +199,7 @@ def test_canonical_layout_structure():
 def test_diagonal_true_for_non_separator_rows(rng):
     for _ in range(20):
         layout = random_layout(rng)
-        kinds, _ = layout.position_kinds()
+        kinds, _ = oracle_position_table(layout)
         for config in ALL_CONFIGS:
             bits = build_cascade_mask(layout, config).bits
             diag = np.diag(bits)

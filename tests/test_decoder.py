@@ -18,13 +18,13 @@ from regionrec.decoder import (
     TokenSequence,
     _gelu,
     _layer_norm,
-    _runtime_mask,
     assemble_sequence,
     decode_objects,
     embed_sequence,
     forward,
     isolate_single_mask,
     make_vocab,
+    teacher_forced_loss,
 )
 from regionrec.encoder import FeatureGrid
 from regionrec.prompt import MaskTokenSet, PromptBatch
@@ -209,7 +209,7 @@ def test_forward_matches_reference_on_dead_decode_slots(config, params, rng):
     for _ in range(4):
         layout = random_layout(rng)
         seq = random_sequence(rng, layout, params, fill_all=True)
-        mask = _runtime_mask(build_cascade_mask(layout, config).bits, random_fill(rng, layout)[1])
+        mask = build_cascade_mask(layout, config).without(random_fill(rng, layout)[1])
         assert_close_to_oracle(seq, mask, params)
 
 
@@ -278,7 +278,7 @@ def test_last_filled_token_does_not_reach_earlier_rows(config, params, rng):
         layout = random_layout(rng)
         seq = random_sequence(rng, layout, params, fill_all=True)
         chunks, dead = random_fill(rng, layout)
-        mask = _runtime_mask(build_cascade_mask(layout, config).bits, dead)
+        mask = build_cascade_mask(layout, config).without(dead)
         filled = [start + fill - 1 for start, fill in chunks if fill]
         if not filled:
             continue
@@ -289,6 +289,20 @@ def test_last_filled_token_does_not_reach_earlier_rows(config, params, rng):
         base = forward(seq, mask, params)
         assert np.array_equal(base[:last], changed[:last])
         assert not np.array_equal(base[last], changed[last])
+
+
+def test_teacher_forced_loss_matches_per_row_reference(params, rng):
+    # image:1 mask0:1 sep:1 out0:2 with gold "w5 <end>": the first target is
+    # predicted from the mask row (1), the second from the first slot (3)
+    layout = parse_layout_header("image:1 mask0:1 sep:1 out0:2")
+    gold = [params.token_id("w5"), params.end_id]
+    seq = assemble_sequence(layout, params, rng.normal(size=(1, ENC_DIM)), {0: rng.normal(size=(1, ENC_DIM))},
+                            [], output_ids={0: gold})
+    mask = build_cascade_mask(layout, CascadeConfig.full_cascade())
+    logits = oracle_forward(seq, mask, params)
+    logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    want = -(logp[1, gold[0]] + logp[3, gold[1]]) / 2
+    assert abs(teacher_forced_loss(seq, mask, params) - want) <= TOL
 
 
 # ---------------------------------------------------------------------------

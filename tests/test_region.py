@@ -7,16 +7,10 @@ from regionrec.maskio import BinaryMask, RasterImage
 from regionrec.region import (
     BBox,
     CropWindow,
-    bounding_ellipse_mask,
     context_crop_window,
     downsample_to_grid,
     extract_and_resize,
-    gaussian_blur,
-    min_area_rect,
-    render_blur2token,
-    render_fore2token,
     resize_image,
-    rotated_bbox_mask,
     tight_bbox,
 )
 
@@ -328,178 +322,3 @@ def test_grid_centroid_fallback_when_mask_outside_window():
     assert gm.count() == 1
     assert gm.active[15, 15]  # clamped toward the centroid
 
-
-# -- rotated bbox -------------------------------------------------------------
-
-
-def test_rotated_bbox_axis_aligned_rect_is_identity():
-    bits = np.zeros((20, 20), bool)
-    bits[4:9, 6:14] = True
-    mask = BinaryMask.from_array(bits)
-    out = rotated_bbox_mask(mask)
-    assert np.array_equal(out.bits, bits)
-
-
-def test_rotated_bbox_diagonal_thinner_than_axis_box():
-    bits = np.zeros((40, 40), bool)
-    for i in range(30):
-        bits[i + 3, i + 3] = True
-    mask = BinaryMask.from_array(bits)
-    out = rotated_bbox_mask(mask)
-    box = tight_bbox(mask)
-    assert out.area() < box.width * box.height
-    assert (out.bits & mask.bits).sum() == mask.area()  # coverage
-
-
-def test_rotated_bbox_single_bit():
-    mask = _mask_from_points([(5, 7)], 12, 12)
-    out = rotated_bbox_mask(mask)
-    assert out.area() == 1 and out.bits[7, 5]
-
-
-def test_rotated_bbox_covers_and_not_larger_than_axis_box(rng):
-    for _ in range(40):
-        mask = random_mask(rng, 24, 24, p=float(rng.random() * 0.2 + 0.02))
-        out = rotated_bbox_mask(mask)
-        assert (out.bits & mask.bits).sum() == mask.area()
-        box = tight_bbox(mask)
-        assert out.area() <= box.width * box.height
-
-
-def test_min_area_rect_matches_dense_angle_oracle(rng):
-    for _ in range(30):
-        pts = rng.random((int(rng.integers(3, 21)), 2)) * 50
-        _, area, _ = min_area_rect(pts)
-        best = np.inf
-        for deg in np.arange(0.0, 90.0, 0.05):
-            t = math.radians(deg)
-            c, s = math.cos(t), math.sin(t)
-            rx = pts[:, 0] * c + pts[:, 1] * s
-            ry = -pts[:, 0] * s + pts[:, 1] * c
-            best = min(best, (rx.max() - rx.min()) * (ry.max() - ry.min()))
-        assert area <= best + 1e-9  # hull-edge optimum is the true optimum
-        assert area >= best - 1.0  # oracle grid is coarse; stay within 1 unit
-
-
-# -- bounding ellipse ---------------------------------------------------------
-
-
-def test_ellipse_contains_square_corners_analytically():
-    bits = np.zeros((40, 40), bool)
-    bits[10:20, 10:20] = True
-    mask = BinaryMask.from_array(bits)
-    out = bounding_ellipse_mask(mask)
-    # corner pixels of the square sit on the sqrt(2)-scaled inscribed ellipse
-    for x, y in [(10, 10), (19, 10), (10, 19), (19, 19)]:
-        assert out.bits[y, x]
-    assert (out.bits & mask.bits).sum() == mask.area()
-
-
-def test_ellipse_single_bit():
-    mask = _mask_from_points([(4, 9)], 16, 16)
-    out = bounding_ellipse_mask(mask)
-    assert out.bits[9, 4]
-
-
-def test_ellipse_covers_all_true_bits(rng):
-    for _ in range(30):
-        mask = random_mask(rng, 24, 24, p=0.1)
-        out = bounding_ellipse_mask(mask)
-        assert (out.bits & mask.bits).sum() == mask.area()
-
-
-# -- renderings ---------------------------------------------------------------
-
-
-def test_fore2token_all_true_equals_plain_extract(rng):
-    arr = rng.random((32, 32)) * 255
-    img = RasterImage.from_array(arr)
-    mask = BinaryMask.from_array(np.ones((32, 32), bool))
-    win = _window_for(mask)
-    out = render_fore2token(img, mask, win, out_side=16)
-    ref = extract_and_resize(img, win, 16)
-    assert np.array_equal(out.data, ref.data)
-
-
-def test_fore2token_background_is_white():
-    img = RasterImage.from_array(np.zeros((16, 16)))
-    mask = _mask_from_points([(8, 8)], 16, 16)
-    # integer-aligned window so samples land exactly on pixel centres
-    win = CropWindow(center_x=8.0, center_y=8.0, side=8)
-    out = render_fore2token(img, mask, win, out_side=8)
-    plane = out.plane()
-    assert plane.max() == 255.0
-    assert plane[4, 4] == 0.0  # the foreground pixel stays black
-    assert (plane == 255.0).sum() == 63
-
-
-def test_fore2token_matches_pixelwise_select_oracle(rng):
-    arr = rng.random((20, 20)) * 255
-    img = RasterImage.from_array(arr)
-    mask = random_mask(rng, 20, 20, p=0.4)
-    win = _window_for(mask, scale=1.5)
-    out = render_fore2token(img, mask, win, out_side=10)
-    selected = np.where(mask.bits, arr, 255.0)
-    ref = extract_and_resize(RasterImage.from_array(selected), win, 10)
-    assert np.array_equal(out.data, ref.data)
-
-
-def test_fore2token_dimension_mismatch():
-    img = RasterImage.from_array(np.zeros((4, 4)))
-    mask = _mask_from_points([(0, 0)], 5, 5)
-    with pytest.raises(ValueError, match="shape"):
-        render_fore2token(img, mask, CropWindow(center_x=2.0, center_y=2.0, side=4))
-
-
-def test_blur_of_constant_is_constant():
-    img = RasterImage.from_array(np.full((24, 24), 40.0))
-    # interior far from the zero-padded border: value preserved by normalisation
-    out = gaussian_blur(img, sigma=1.0)
-    assert out.plane()[12, 12] == pytest.approx(40.0, abs=1e-9)
-
-
-def test_blur2token_all_true_equals_plain_extract(rng):
-    arr = rng.random((24, 24)) * 255
-    img = RasterImage.from_array(arr)
-    mask = BinaryMask.from_array(np.ones((24, 24), bool))
-    win = _window_for(mask)
-    out = render_blur2token(img, mask, win, sigma=2.0, out_side=12)
-    ref = extract_and_resize(img, win, 12)
-    assert np.array_equal(out.data, ref.data)
-
-
-def test_blur_impulse_matches_direct_2d_convolution():
-    size, sigma = 21, 1.5
-    arr = np.zeros((size, size))
-    arr[10, 10] = 1.0
-    out = gaussian_blur(RasterImage.from_array(arr), sigma).plane()
-
-    radius = math.ceil(3 * sigma)
-    ker = np.exp(-np.arange(-radius, radius + 1) ** 2 / (2 * sigma**2))
-    ker /= ker.sum()
-    ref = np.zeros_like(arr)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            y, x = 10 + dy, 10 + dx
-            if 0 <= y < size and 0 <= x < size:
-                ref[y, x] = ker[dy + radius] * ker[dx + radius]
-    assert np.allclose(out, ref, atol=1e-5)
-
-
-def test_blur_requires_positive_sigma():
-    img = RasterImage.from_array(np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        gaussian_blur(img, 0.0)
-
-
-def test_renderings_preserve_foreground_before_resize(rng):
-    arr = rng.random((20, 20)) * 255
-    img = RasterImage.from_array(arr)
-    mask = random_mask(rng, 20, 20, p=0.3)
-    # compose without resizing by using a window equal to the image and
-    # out_side equal to the image side (identity resample)
-    win = CropWindow(center_x=10.0, center_y=10.0, side=20)
-    fore = render_fore2token(img, mask, win, out_side=20).plane()
-    blur = render_blur2token(img, mask, win, sigma=3.0, out_side=20).plane()
-    assert np.allclose(fore[mask.bits], arr[mask.bits])
-    assert np.allclose(blur[mask.bits], arr[mask.bits])
