@@ -29,7 +29,7 @@ from .decoder import (
     save_decoder_params,
     teacher_forced_loss,
 )
-from .encoder import EncoderParams, FeatureGrid, encode, load_encoder_params, save_encoder_params
+from .encoder import EncoderParams, FeatureGrid, encode
 from .harness import (
     AlwaysYesOracle,
     CostModel,
@@ -55,7 +55,6 @@ from .maskio import (
 )
 from .metrics import (
     EvalReport,
-    TableProvider,
     TrigramHashProvider,
     evaluate,
     open_vocab_classify,
@@ -65,10 +64,8 @@ from .metrics import (
 from .prompt import (
     MaskTokenSet,
     PromptBatch,
-    SequenceBudget,
     build_prompt_batch,
     mask2token,
-    token_budget,
 )
 from .region import (
     BBox,

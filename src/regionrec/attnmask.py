@@ -134,6 +134,8 @@ def canonical_layout(
 
     ``output_lens`` may be one int (same slot count per object) or a list.
     """
+    if text_len < 0:
+        raise ValueError(f"text length must be >= 0, got {text_len}")
     k = len(mask_lens)
     if isinstance(output_lens, int):
         output_lens = [output_lens] * k
@@ -251,10 +253,3 @@ def dump_attention_mask(mask: AttentionMaskMatrix, layout: SequenceLayout) -> st
     """Bit-exact ASCII dump: layout header line, then one 0/1 row per query."""
     rows = ["".join("1" if b else "0" for b in row) for row in mask.bits]
     return "\n".join([layout.header()] + rows)
-
-
-def parse_attention_dump(text: str) -> tuple[AttentionMaskMatrix, SequenceLayout]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    layout = parse_layout_header(lines[0])
-    bits = np.array([[c == "1" for c in ln.strip()] for ln in lines[1:]], dtype=bool)
-    return AttentionMaskMatrix(n=bits.shape[0], bits=bits), layout

@@ -18,10 +18,10 @@ import sys
 from pathlib import Path
 
 from . import attnmask, decoder, harness, maskio, metrics, prompt
-from .attnmask import CascadeConfig, build_cascade_mask, dump_attention_mask
+from .attnmask import CascadeConfig, build_cascade_mask, canonical_layout, dump_attention_mask
 from .encoder import EncoderParams
 from .harness import AlwaysYesOracle, ScriptedOracle, bench_decoder_params, run_filter_pipeline, run_scaling_bench, synthesize_mask_corpus
-from .prompt import build_prompt_batch, dump_token_set, token_budget
+from .prompt import OUTPUT_SLOTS, build_prompt_batch, dump_token_set
 
 _VARIANTS = {
     "cascade": CascadeConfig.full_cascade,
@@ -80,19 +80,21 @@ def _cmd_tokenize(args) -> int:
         max_masks=args.max_masks,
         grid=args.grid,
     )
+    image_len = batch.image_tokens.rows * batch.image_tokens.cols
+    counts = [ts.count for ts in batch.mask_token_sets]
+    layout = canonical_layout(image_len, args.text_len, counts, OUTPUT_SLOTS)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for ts in batch.mask_token_sets:
         dump_token_set(ts, out_dir / f"mask_{ts.mask_index:03d}.json", out_dir / f"mask_{ts.mask_index:03d}.f32")
-    budget = token_budget(batch, text_len=args.text_len)
     _emit(
         args,
         json.dumps(
             {
                 "masks": batch.num_masks,
-                "token_counts": [ts.count for ts in batch.mask_token_sets],
-                "image_tokens": budget.image_tokens,
-                "total_sequence": budget.total,
+                "token_counts": counts,
+                "image_tokens": image_len,
+                "total_sequence": layout.n,
             },
             sort_keys=True,
         ),
@@ -114,11 +116,13 @@ def _cmd_maskviz(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    if bool(args.params) != bool(args.vocab):
+        raise ValueError("--params and --vocab must be given together")
     image = maskio.read_pgm(args.image)
     records = maskio.read_records(args.masks)
     enc = EncoderParams.seeded(args.seed, dim=args.enc_dim)
     batch = build_prompt_batch(image, [r.mask for r in records], enc, scale=args.scale)
-    if args.params and args.vocab:
+    if args.params:
         params = decoder.load_decoder_params(args.params, args.vocab)
     else:
         words = sorted(
@@ -158,12 +162,11 @@ def _cmd_bench(args) -> int:
         enc,
         dec,
         text_len=args.text_len,
-        repeats=args.repeats,
+        repeats=0 if args.flops_only else args.repeats,
     )
-    include_timing = not args.flops_only
     if args.csv:
-        Path(args.csv).write_text(report.to_csv(include_timing=include_timing))
-    _emit(args, report.to_json(include_timing=include_timing))
+        Path(args.csv).write_text(report.to_csv())
+    _emit(args, report.to_json())
     return 0
 
 
@@ -262,10 +265,15 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, values: dict) -
 
     A subcommand's own defaults override the top-level parser's, so keys of
     subcommand options go to the chosen subcommand's parser; the rest (the
-    top-level options) go to the top-level parser.
+    top-level options) go to the top-level parser.  A key that is no option
+    of any parser is an input error.
     """
     top = {action.dest for action in parser._actions}
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = top.union(*({a.dest for a in p._actions} for p in subparsers.choices.values()))
+    unknown = sorted(set(values) - known)
+    if unknown:
+        raise ValueError(f"config error: unknown key {unknown[0]!r}")
     parser.set_defaults(**{k: v for k, v in values.items() if k in top})
     subparsers.choices[command].set_defaults(**{k: v for k, v in values.items() if k not in top})
 

@@ -103,7 +103,6 @@ class DecoderParams:
     ln_f_g: np.ndarray = field(repr=False)
     ln_f_b: np.ndarray = field(repr=False)
     head: np.ndarray = field(repr=False)
-    seed: int | None = None
 
     def __post_init__(self):
         if self.dim % self.heads != 0:
@@ -185,7 +184,6 @@ class DecoderParams:
             ln_f_g=np.ones(dim),
             ln_f_b=np.zeros(dim),
             head=head,
-            seed=seed,
         )
 
 

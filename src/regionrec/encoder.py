@@ -4,13 +4,11 @@ One ``EncoderParams`` instance is shared between the global image and every
 mask crop, so identical pixel content maps to identical features no matter
 which path produced it.  Weights are drawn from the package PRNG
 (xoshiro256**, see prng.py) as uniform [-a, a] with a = 1/sqrt(fan_in), then
-rounded to float32 so the serialised form reproduces in-memory values
-exactly.
+rounded to float32, like the decoder weights.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,9 +18,6 @@ from .prng import Xoshiro256StarStar
 
 GRID_SIDE = 16
 PATCH_SIDE = 28
-INPUT_SIDE = PATCH_SIDE * GRID_SIDE  # 448
-
-_MAGIC = b"ENC0"
 
 
 @dataclass(frozen=True)
@@ -55,14 +50,13 @@ class EncoderParams:
 
     ``projection`` has shape (patch_side**2 * channels, dim); a patch is
     flattened row-major with channels fastest, divided by 255, and matrix-
-    multiplied.  ``seed`` is None for parameters loaded from file.
+    multiplied.
     """
 
     patch_side: int
     dim: int
     channels: int
     projection: np.ndarray = field(repr=False)
-    seed: int | None = None
 
     def __post_init__(self):
         proj = np.asarray(self.projection, dtype=np.float64)
@@ -81,7 +75,7 @@ class EncoderParams:
         a = 1.0 / np.sqrt(fan_in)
         rng = Xoshiro256StarStar(seed)
         proj = rng.uniform(-a, a, (fan_in, dim)).astype(np.float32).astype(np.float64)
-        return cls(patch_side=patch_side, dim=dim, channels=channels, projection=proj, seed=seed)
+        return cls(patch_side=patch_side, dim=dim, channels=channels, projection=proj)
 
 
 def encode(image: RasterImage, params: EncoderParams) -> FeatureGrid:
@@ -107,38 +101,3 @@ def encode(image: RasterImage, params: EncoderParams) -> FeatureGrid:
     )
     values = patches @ params.projection
     return FeatureGrid(rows=g, cols=g, dim=params.dim, values=values.reshape(g, g, params.dim))
-
-
-# ---------------------------------------------------------------------------
-# Serialisation: 8-byte header (magic "ENC0", u16 patch_side, u16 dim) then
-# the projection as little-endian float32, row-major.  Channel count is
-# recovered from the payload length.
-# ---------------------------------------------------------------------------
-
-
-def save_encoder_params(params: EncoderParams, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HH", params.patch_side, params.dim))
-        fh.write(params.projection.astype("<f4").tobytes())
-
-
-def load_encoder_params(path) -> EncoderParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise ValueError(f"bad magic {blob[:4]!r}, expected {_MAGIC!r}")
-    patch_side, dim = struct.unpack("<HH", blob[4:8])
-    payload = np.frombuffer(blob[8:], dtype="<f4").astype(np.float64)
-    if payload.size % dim != 0:
-        raise ValueError("payload length not divisible by dim")
-    fan_in = payload.size // dim
-    if fan_in % (patch_side * patch_side) != 0:
-        raise ValueError("payload length inconsistent with patch size")
-    channels = fan_in // (patch_side * patch_side)
-    return EncoderParams(
-        patch_side=patch_side,
-        dim=dim,
-        channels=channels,
-        projection=payload.reshape(fan_in, dim),
-    )

@@ -24,7 +24,7 @@ from .decoder import START, DecoderParams, assemble_sequence, forward, make_voca
 from .encoder import EncoderParams
 from .maskio import BinaryMask, MaskRecord, RasterImage, area_ratio_filter
 from .prng import Xoshiro256StarStar
-from .prompt import OUTPUT_SLOTS, PromptBatch, build_prompt_batch
+from .prompt import OUTPUT_SLOTS, build_prompt_batch
 
 RESIZE_FLOPS_PER_PIXEL = 8  # 4 weights, 3 lerp multiplies, accumulate
 HEAD_THRESHOLD = 100
@@ -92,7 +92,6 @@ class CostModel:
 class CostBreakdown:
     encoder_flops: int
     decoder_flops: int
-    visible_pairs: int
 
     @property
     def total(self) -> int:
@@ -111,7 +110,7 @@ def estimate_cost(
     encoder = (k + 1) * per_crop  # K crops + the global image
     injected = sum(seg.length for seg in layout.segments if seg.kind in (IMAGE, MASK))
     decoder = model.decoder_flops(layout.n, mask.visible_pairs(), injected)
-    return CostBreakdown(encoder_flops=encoder, decoder_flops=decoder, visible_pairs=mask.visible_pairs())
+    return CostBreakdown(encoder_flops=encoder, decoder_flops=decoder)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +121,10 @@ BENCH_TEXT_LEN = 128
 BENCH_DEC_DIM = 256
 BENCH_DEC_LAYERS = 4
 BENCH_DEC_HEADS = 4
+BENCH_TOKENS_PER_MASK = 27
 
 
-def bench_decoder_params(seed: int = 7, enc_dim: int = 16, max_len: int = 4096) -> DecoderParams:
+def bench_decoder_params(seed: int = 7, enc_dim: int = 16) -> DecoderParams:
     """Decoder defaults for the benchmark: a deliberately decoder-heavy
     configuration mirroring a language model that dwarfs its vision tower."""
     vocab = make_vocab([f"w{i}" for i in range(124)])
@@ -136,19 +136,17 @@ def bench_decoder_params(seed: int = 7, enc_dim: int = 16, max_len: int = 4096) 
         layers=BENCH_DEC_LAYERS,
         enc_dim=enc_dim,
         positional_mode="absolute",
-        max_len=max_len,
+        max_len=4096,
     )
 
 
-def synthesize_mask_corpus(
-    n_masks: int, tokens_per_mask: int = 27, seed: int = 0
-) -> tuple[RasterImage, list[BinaryMask]]:
+def synthesize_mask_corpus(n_masks: int, seed: int = 0) -> tuple[RasterImage, list[BinaryMask]]:
     """Deterministic 64x64 image plus masks that each select exactly
-    ``tokens_per_mask`` grid cells under the default context scale of 2.
+    ``BENCH_TOKENS_PER_MASK`` grid cells under the default context scale of 2.
 
     Construction: each mask's bbox is pinned to the full square, so its
     scale-2 crop window is fixed; the mask then lights one pixel inside each
-    of ``tokens_per_mask`` distinct window cells (all inside the central 8x8
+    of ``BENCH_TOKENS_PER_MASK`` distinct window cells (all inside the central 8x8
     block the square occupies).
     """
     side = 64
@@ -158,8 +156,6 @@ def synthesize_mask_corpus(
 
     masks = []
     central = [(r, c) for r in range(4, 12) for c in range(4, 12)]
-    if not 2 <= tokens_per_mask <= len(central):
-        raise ValueError(f"tokens_per_mask must be within 2..{len(central)}")
     for _ in range(n_masks):
         bits = np.zeros((side, side), dtype=bool)
         # corner pixels pin the bbox to the full square: window cells (4,4)/(11,11)
@@ -167,7 +163,7 @@ def synthesize_mask_corpus(
         bits[side - 1, side - 1] = True
         chosen = {(4, 4), (11, 11)}
         pool = [cell for cell in central if cell not in chosen]
-        while len(chosen) < tokens_per_mask:
+        while len(chosen) < BENCH_TOKENS_PER_MASK:
             cell = pool.pop(rng.integers(len(pool)))
             chosen.add(cell)
             r, c = cell
@@ -183,7 +179,7 @@ class ScalingRow:
     total_flops: int
     encoder_share: float
     decoder_share: float
-    wall_time_ms: float
+    wall_time_ms: float | None  # None when no timed pass ran
     comparator_flops: int
 
 
@@ -198,7 +194,8 @@ class ScalingReport:
         if any(b < a for a, b in zip(totals, totals[1:])):
             raise ValueError("total_flops must be monotone non-decreasing in K")
 
-    def to_json(self, include_timing: bool = True) -> str:
+    def to_json(self) -> str:
+        timed = all(r.wall_time_ms is not None for r in self.rows)
         rows = []
         for r in self.rows:
             row = {
@@ -208,7 +205,7 @@ class ScalingReport:
                 "decoder_share": r.decoder_share,
                 "comparator_flops": r.comparator_flops,
             }
-            if include_timing:
+            if timed:
                 row["wall_time_ms"] = r.wall_time_ms
             rows.append(row)
         return json.dumps(
@@ -220,14 +217,15 @@ class ScalingReport:
             sort_keys=True,
         )
 
-    def to_csv(self, include_timing: bool = True) -> str:
+    def to_csv(self) -> str:
+        timed = all(r.wall_time_ms is not None for r in self.rows)
         header = "k,total_flops,encoder_share,decoder_share,comparator_flops"
-        if include_timing:
+        if timed:
             header += ",wall_time_ms"
         lines = [header]
         for r in self.rows:
             line = f"{r.k},{r.total_flops},{r.encoder_share:.6f},{r.decoder_share:.6f},{r.comparator_flops}"
-            if include_timing:
+            if timed:
                 line += f",{r.wall_time_ms:.3f}"
             lines.append(line)
         return "\n".join(lines) + "\n"
@@ -239,17 +237,15 @@ def run_scaling_bench(
     masks: list[BinaryMask],
     enc_params: EncoderParams,
     dec_params: DecoderParams,
-    config: CascadeConfig | None = None,
     text_len: int = BENCH_TEXT_LEN,
-    output_slots: int = OUTPUT_SLOTS,
-    scale: float = 2.0,
     repeats: int = 5,
 ) -> ScalingReport:
     """Build real prompt batches, time the forward pass, and evaluate the
-    FLOP model per instance count.
+    FLOP model per instance count, under the full cascade.
 
     Wall time covers prompt construction plus one decoder forward over the
     fully materialised layout; the median of ``repeats`` runs is reported.
+    ``repeats=0`` runs no timed pass and leaves ``wall_time_ms`` None.
     FLOP numbers come from the analytic model.
     """
     if not k_values:
@@ -258,35 +254,36 @@ def run_scaling_bench(
         raise ValueError(
             f"input error: need {max(k_values)} masks, corpus has {len(masks)}"
         )
-    if config is None:
-        config = CascadeConfig.full_cascade()
+    if repeats < 0:
+        raise ValueError(f"input error: repeats must be >= 0, got {repeats}")
+    config = CascadeConfig.full_cascade()
     model = CostModel.from_params(enc_params, dec_params)
     text_ids = [dec_params.token_id(START)] * text_len
 
     # single-instance baseline for the simulated one-mask-per-pass comparator
-    k1_batch = build_prompt_batch(image, masks[:1], enc_params, scale=scale)
+    k1_batch = build_prompt_batch(image, masks[:1], enc_params)
     k1_layout = canonical_layout(
         k1_batch.image_tokens.rows * k1_batch.image_tokens.cols,
         text_len,
         [k1_batch.mask_token_sets[0].count],
-        output_slots,
+        OUTPUT_SLOTS,
     )
     k1_total = estimate_cost(k1_layout, build_cascade_mask(k1_layout, config), 1, model).total
 
     rows = []
     for k in k_values:
-        batch = build_prompt_batch(image, masks[:k], enc_params, scale=scale, max_masks=max(30, k))
+        batch = build_prompt_batch(image, masks[:k], enc_params, max_masks=max(30, k))
         mask_lens = [ts.count for ts in batch.mask_token_sets]
         layout = canonical_layout(
-            batch.image_tokens.rows * batch.image_tokens.cols, text_len, mask_lens, output_slots
+            batch.image_tokens.rows * batch.image_tokens.cols, text_len, mask_lens, OUTPUT_SLOTS
         )
         attn = build_cascade_mask(layout, config)
         cost = estimate_cost(layout, attn, k, model)
 
         times = []
-        for _ in range(max(1, repeats)):
+        for _ in range(repeats):
             t0 = time.perf_counter()
-            b = build_prompt_batch(image, masks[:k], enc_params, scale=scale, max_masks=max(30, k))
+            b = build_prompt_batch(image, masks[:k], enc_params, max_masks=max(30, k))
             seq = assemble_sequence(
                 layout,
                 dec_params,
@@ -303,7 +300,7 @@ def run_scaling_bench(
                 total_flops=cost.total,
                 encoder_share=cost.encoder_flops / cost.total,
                 decoder_share=cost.decoder_flops / cost.total,
-                wall_time_ms=statistics.median(times),
+                wall_time_ms=statistics.median(times) if times else None,
                 comparator_flops=k * k1_total,
             )
         )

@@ -2,9 +2,7 @@
 
 File formats:
 
-* PGM ``P5`` (binary) and ``P2`` (ASCII), maxval <= 255.  Masks travel as
-  PGM with foreground 255 / background 0 and are thresholded at >= 128 on
-  the way back in.
+* PGM ``P5`` (binary) and ``P2`` (ASCII), maxval <= 255.
 * Uncompressed run-length JSON ``{"size": [h, w], "counts": [...]}`` in
   column-major order, first run counting false pixels.
 * Mask record collections as JSON lines, one object per line:
@@ -205,16 +203,6 @@ def write_pgm(image: RasterImage, path, binary: bool = True) -> None:
         else:
             fh.write("\n".join(" ".join(str(v) for v in row) for row in vals).encode("ascii"))
             fh.write(b"\n")
-
-
-def mask_to_image(mask: BinaryMask) -> RasterImage:
-    """Encode a mask as a 0/255 grayscale raster."""
-    return RasterImage.from_array(np.where(mask.bits, 255.0, 0.0))
-
-
-def mask_from_image(image: RasterImage) -> BinaryMask:
-    """Threshold a grayscale raster at >= 128."""
-    return BinaryMask.from_array(image.plane() >= 128.0)
 
 
 # ---------------------------------------------------------------------------

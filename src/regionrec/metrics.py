@@ -1,11 +1,9 @@
 """Label evaluation: semantic similarity, word-set IoU, open-vocabulary
-matching, and corpus aggregation with pluggable text-embedding providers.
+matching, and corpus aggregation over a text-embedding provider.
 
-The built-in offline provider hashes character trigrams (FNV-1a 64-bit over
-the UTF-8 bytes of the lowercased string, bucket = hash mod dim, +1 per
-trigram) and L2-normalises.  Any object with ``name``, ``dim`` and a
-deterministic unit-norm ``embed(text)`` can be plugged in instead, e.g. a
-table exported from a real sentence encoder.
+The offline provider hashes character trigrams (FNV-1a 64-bit over the
+UTF-8 bytes of the lowercased string, bucket = hash mod dim, +1 per
+trigram) and L2-normalises.
 """
 
 from __future__ import annotations
@@ -53,53 +51,6 @@ class TrigramHashProvider:
             for i in range(len(data) - 2):
                 vec[_fnv1a64(data[i : i + 3]) % self.dim] += 1.0
         return vec / np.linalg.norm(vec)
-
-
-class TableProvider:
-    """File-backed embedding table: JSON header + float32 blob.
-
-    Header: {"name":..., "dim":..., "entries": [labels...]}; blob holds one
-    row per entry in order.  Lookups are exact-string.
-    """
-
-    def __init__(self, name: str, dim: int, table: dict[str, np.ndarray]):
-        self.name = name
-        self.dim = dim
-        self._table = {}
-        for key, vec in table.items():
-            vec = np.asarray(vec, dtype=np.float64)
-            norm = np.linalg.norm(vec)
-            if not np.isclose(norm, 1.0, atol=1e-6):
-                raise ValueError(f"embedding for {key!r} is not unit-norm")
-            self._table[key] = vec
-
-    def embed(self, text: str) -> np.ndarray:
-        if text not in self._table:
-            raise KeyError(f"no embedding for {text!r}")
-        return self._table[text]
-
-    @classmethod
-    def load(cls, json_path, blob_path) -> "TableProvider":
-        with open(json_path, "r", encoding="utf-8") as fh:
-            header = json.load(fh)
-        with open(blob_path, "rb") as fh:
-            blob = fh.read()
-        dim = int(header["dim"])
-        rows = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(-1, dim)
-        if rows.shape[0] != len(header["entries"]):
-            raise ValueError("blob row count does not match header entries")
-        return cls(header["name"], dim, dict(zip(header["entries"], rows)))
-
-    @classmethod
-    def save_table(cls, name: str, table: dict[str, np.ndarray], json_path, blob_path) -> None:
-        entries = list(table)
-        dim = len(next(iter(table.values())))
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump({"name": name, "dim": dim, "entries": entries}, fh)
-            fh.write("\n")
-        with open(blob_path, "wb") as fh:
-            for key in entries:
-                fh.write(np.asarray(table[key]).astype("<f4").tobytes())
 
 
 @dataclass(frozen=True)

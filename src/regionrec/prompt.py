@@ -135,41 +135,6 @@ def build_prompt_batch(
     return PromptBatch(image_tokens=image_tokens, mask_token_sets=sets, context_scale=scale)
 
 
-@dataclass(frozen=True)
-class SequenceBudget:
-    """Per-segment token counts for the canonical decode layout."""
-
-    image_tokens: int
-    text_tokens: int
-    mask_tokens: tuple[int, ...]
-    separators: int
-    output_slots: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return (
-            self.image_tokens
-            + self.text_tokens
-            + sum(self.mask_tokens)
-            + self.separators
-            + sum(self.output_slots)
-        )
-
-
-def token_budget(batch: PromptBatch, text_len: int, output_slots: int = OUTPUT_SLOTS) -> SequenceBudget:
-    """Token accounting for the canonical layout: one separator per mask,
-    ``output_slots`` positions reserved per object."""
-    grid = batch.image_tokens
-    k = batch.num_masks
-    return SequenceBudget(
-        image_tokens=grid.rows * grid.cols,
-        text_tokens=text_len,
-        mask_tokens=tuple(ts.count for ts in batch.mask_token_sets),
-        separators=k,
-        output_slots=tuple([output_slots] * k),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Dump format: JSON descriptor plus a sidecar float32 blob with an 8-byte
 # header (magic "MTS0", u16 count, u16 dim).
@@ -190,19 +155,3 @@ def dump_token_set(token_set: MaskTokenSet, json_path, blob_path) -> None:
     with open(json_path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
-
-
-def load_token_set(json_path, blob_path) -> MaskTokenSet:
-    with open(json_path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    with open(blob_path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise ValueError(f"bad magic {blob[:4]!r}, expected {_MAGIC!r}")
-    count, dim = struct.unpack("<HH", blob[4:8])
-    tokens = np.frombuffer(blob[8:], dtype="<f4").astype(np.float64).reshape(count, dim)
-    return MaskTokenSet(
-        tokens=tokens,
-        grid_indices=np.asarray(doc["grid_indices"], dtype=np.int64),
-        mask_index=doc["mask_index"],
-    )

@@ -92,9 +92,6 @@ class GridMask:
         active.flags.writeable = False
         object.__setattr__(self, "active", active)
 
-    def count(self) -> int:
-        return int(self.active.sum())
-
 
 # ---------------------------------------------------------------------------
 # Boxes and windows

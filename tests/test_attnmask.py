@@ -9,7 +9,6 @@ from regionrec.attnmask import (
     build_cascade_mask,
     canonical_layout,
     dump_attention_mask,
-    parse_attention_dump,
     parse_layout_header,
 )
 
@@ -169,6 +168,14 @@ def test_bits_above_the_diagonal_are_rejected():
         AttentionMaskMatrix(n=4, bits=bits)
 
 
+def parse_attention_dump(text: str) -> tuple[AttentionMaskMatrix, SequenceLayout]:
+    """Read back what ``dump_attention_mask`` writes."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    layout = parse_layout_header(lines[0])
+    bits = np.array([[c == "1" for c in ln.strip()] for ln in lines[1:]], dtype=bool)
+    return AttentionMaskMatrix(n=bits.shape[0], bits=bits), layout
+
+
 def test_dump_round_trip():
     built = build_cascade_mask(FIG4, CascadeConfig.full_cascade())
     text = dump_attention_mask(built, FIG4)
@@ -186,6 +193,8 @@ def test_layout_validation():
         SequenceLayout(
             (Segment("image", 1), Segment("out", 1, 0), Segment("mask", 1, 0))
         )
+    with pytest.raises(ValueError, match="text length"):
+        canonical_layout(1, -1, [1], 1)
 
 
 def test_canonical_layout_structure():

@@ -1,5 +1,5 @@
 """Command line: exit codes per subcommand, config defaults, ``--pretty``
-placement and the pinned ``maskviz`` dumps."""
+placement, the pinned ``maskviz`` dumps and the rejected inputs."""
 
 import hashlib
 import json
@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from regionrec import cli
+from regionrec import cli, decoder, harness, prompt
+from regionrec.attnmask import canonical_layout
 from regionrec.maskio import BinaryMask, MaskRecord, RasterImage, write_pgm, write_records
 
 
@@ -105,3 +106,64 @@ def test_pretty_is_accepted_after_the_subcommand(files, capsys):
 def test_maskviz_dump_is_pinned(variant, digest, capsys):
     assert run(["maskviz", "--variant", variant]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
+def test_config_key_that_no_option_uses_exits_2(tmp_path, capsys):
+    (tmp_path / "typo.cfg").write_text("varient = causal\n")
+    assert run(["--config", str(tmp_path / "typo.cfg"), "maskviz"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'varient'" in err and err.count("\n") == 1
+    # an option of another subcommand is a known key
+    (tmp_path / "other.cfg").write_text("k_values = 1\n")
+    assert run(["--config", str(tmp_path / "other.cfg"), "maskviz"]) == 0
+
+
+def test_flops_only_runs_no_timed_pass(monkeypatch, capsys):
+    # a small decoder keeps the run cheap; only the number of forwards matters
+    monkeypatch.setattr(
+        cli, "bench_decoder_params",
+        lambda seed, enc_dim: decoder.DecoderParams.seeded(seed, decoder.make_vocab([]), enc_dim=enc_dim),
+    )
+    calls = []
+    real_forward = harness.forward
+    monkeypatch.setattr(harness, "forward", lambda *a: calls.append(1) or real_forward(*a))
+    assert run(["bench", "--k-values", "1,2", "--repeats", "1"]) == 0
+    assert len(calls) == 2 and "wall_time_ms" in json.loads(capsys.readouterr().out)["rows"][0]
+    calls.clear()
+    assert run(["bench", "--k-values", "1,2", "--flops-only"]) == 0
+    assert calls == [] and "wall_time_ms" not in json.loads(capsys.readouterr().out)["rows"][0]
+
+
+def test_tokenize_total_sequence_is_the_layout_length(files, capsys):
+    argv = ["tokenize", "--image", str(files / "img.pgm"), "--masks", str(files / "masks.jsonl"),
+            "--out-dir", str(files / "tok")]
+    assert run(argv + ["--text-len", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    layout = canonical_layout(256, 4, out["token_counts"], prompt.OUTPUT_SLOTS)
+    assert out == {"image_tokens": 256, "masks": 2, "token_counts": [64, 16], "total_sequence": layout.n}
+    assert layout.n == 358
+    assert run(argv + ["--text-len", "-1"]) == 2
+    assert "text length" in capsys.readouterr().err
+
+
+def test_decode_rejects_half_a_weights_pair(files, capsys):
+    argv = ["decode", "--image", str(files / "img.pgm"), "--masks", str(files / "masks.jsonl")]
+    assert run(argv + ["--params", str(files / "nope.bin")]) == 2
+    assert run(argv + ["--vocab", str(files / "nope.json")]) == 2
+    assert capsys.readouterr().err.count("--params and --vocab") == 2
+
+
+def test_decoder_params_file_round_trip(files, monkeypatch, capsys):
+    """The seeded decoder, saved as DEC0 and read back by ``decode --params
+    --vocab``, decodes to byte-identical output."""
+    argv = ["decode", "--image", str(files / "img.pgm"), "--masks", str(files / "masks.jsonl"),
+            "--max-label-len", "2"]
+    used = []
+    real_decode = decoder.decode_objects
+    monkeypatch.setattr(decoder, "decode_objects", lambda batch, text_ids, params, **kw: used.append(params)
+                        or real_decode(batch, text_ids, params, **kw))
+    assert run(argv) == 0
+    seeded = capsys.readouterr().out
+    decoder.save_decoder_params(used[0], files / "dec.bin", files / "vocab.json")
+    assert run(argv + ["--params", str(files / "dec.bin"), "--vocab", str(files / "vocab.json")]) == 0
+    assert capsys.readouterr().out == seeded

@@ -1,5 +1,9 @@
+import pytest
+
 from regionrec.attnmask import CascadeConfig, build_cascade_mask, canonical_layout
-from regionrec.harness import CostModel, estimate_cost
+from regionrec.decoder import DecoderParams, make_vocab
+from regionrec.encoder import EncoderParams
+from regionrec.harness import CostModel, estimate_cost, run_scaling_bench, synthesize_mask_corpus
 
 
 def test_decoder_flops_hand_count():
@@ -18,3 +22,11 @@ def test_decoder_flops_hand_count():
     assert mask.visible_pairs() == 15
     assert model.decoder_flops(n, 15, 3) == projections + attention + mlp + head + adapter == 816
     assert estimate_cost(layout, mask, 1, model).decoder_flops == 816
+
+
+def test_scaling_bench_rejects_negative_repeats():
+    image, masks = synthesize_mask_corpus(1)
+    enc = EncoderParams.seeded(0)
+    dec = DecoderParams.seeded(0, make_vocab([]))
+    with pytest.raises(ValueError, match="repeats"):
+        run_scaling_bench([1], image, masks, enc, dec, repeats=-1)

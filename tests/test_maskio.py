@@ -8,9 +8,7 @@ from regionrec.maskio import (
     MaskRecord,
     RasterImage,
     area_ratio_filter,
-    mask_from_image,
     mask_from_rle,
-    mask_to_image,
     mask_to_rle,
     read_pgm,
     read_records,
@@ -104,11 +102,6 @@ def test_rle_round_trip_fuzz(rng):
     for _ in range(200):
         m = random_mask(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12)), p=rng.random())
         assert mask_from_rle(mask_to_rle(m)) == m
-
-
-def test_mask_image_round_trip(rng):
-    m = random_mask(rng, 9, 6)
-    assert mask_from_image(mask_to_image(m)) == m
 
 
 def test_empty_mask_rejected():

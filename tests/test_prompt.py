@@ -1,17 +1,13 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from regionrec.attnmask import canonical_layout
 from regionrec.encoder import EncoderParams, encode
 from regionrec.maskio import BinaryMask, RasterImage
-from regionrec.prompt import (
-    MaskTokenSet,
-    PromptBatch,
-    build_prompt_batch,
-    dump_token_set,
-    load_token_set,
-    mask2token,
-    token_budget,
-)
+from regionrec.prompt import MaskTokenSet, build_prompt_batch, dump_token_set, mask2token
 from regionrec.region import context_crop_window, downsample_to_grid, tight_bbox
 
 from conftest import oracle_grid_cells, random_mask
@@ -134,30 +130,33 @@ def test_mask_independence_local_change(rng):
     assert np.array_equal(base.mask_token_sets[2].tokens, after.mask_token_sets[2].tokens)
 
 
-def _fake_batch(counts, dim=4):
-    grid = encode(RasterImage.from_array(np.zeros((64, 64))), EncoderParams.seeded(1, patch_side=4, dim=dim))
-    sets = []
-    for i, c in enumerate(counts):
-        idx = np.argwhere(np.arange(256).reshape(16, 16) < c)
-        sets.append(MaskTokenSet(tokens=np.zeros((c, dim)), grid_indices=idx[:c], mask_index=i))
-    return PromptBatch(image_tokens=grid, mask_token_sets=tuple(sets), context_scale=2.0)
-
-
 def test_budget_worked_example():
     # 256 image + 4 text + 27-token mask + 1 sep + 8 output slots = 296
-    batch = _fake_batch([27])
-    assert token_budget(batch, text_len=4).total == 296
+    assert canonical_layout(256, 4, [27], 8).n == 296
 
 
 def test_budget_zero_text_is_additive():
-    batch = _fake_batch([27])
-    assert token_budget(batch, text_len=0).total == 292
+    assert canonical_layout(256, 0, [27], 8).n == 292
 
 
 def test_budget_grows_by_mask_plus_sep_plus_outputs():
-    one = token_budget(_fake_batch([256]), text_len=4).total
-    two = token_budget(_fake_batch([256, 256]), text_len=4).total
+    one = canonical_layout(256, 4, [256], 8).n
+    two = canonical_layout(256, 4, [256, 256], 8).n
     assert two - one == 256 + 1 + 8
+
+
+def load_token_set(json_path, blob_path) -> MaskTokenSet:
+    """Read back what ``dump_token_set`` writes."""
+    doc = json.loads(json_path.read_text(encoding="ascii"))
+    blob = blob_path.read_bytes()
+    assert blob[:4] == b"MTS0"
+    count, dim = struct.unpack("<HH", blob[4:8])
+    tokens = np.frombuffer(blob[8:], dtype="<f4").astype(np.float64).reshape(count, dim)
+    return MaskTokenSet(
+        tokens=tokens,
+        grid_indices=np.asarray(doc["grid_indices"], dtype=np.int64),
+        mask_index=doc["mask_index"],
+    )
 
 
 def test_token_set_dump_round_trip(tmp_path, rng):
