@@ -12,18 +12,20 @@ segment; isolating an object therefore leaves the kept rows bit-identical.
 The forward needs the sequence's layout for this.  Fully masked rows emit
 the zero vector.
 
-Decoding fills pre-allocated output slots in a fixed layout (padding rows
-and columns stay dead until a slot is filled), so absolute positions do not
-depend on the decode schedule.  The first token of chunk i is predicted
-from the logits at the last position of mask segment i — the only existing
-row whose visible set is exactly the information chunk i may use.
+Decoding fills pre-allocated output slots (dead until filled, so positions
+never move) one object after another.  Chunk i's first token is predicted
+at the last position of mask segment i — the only row whose visible set is
+exactly what chunk i may use — and each later token at the slot before it.
+No row reads a slot filled after it, so each decode step equals one
+teacher-forced forward over the decoded output with its unused trailing
+slots dead, under every ``CascadeConfig``.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import erf
@@ -40,7 +42,7 @@ from .attnmask import (
     build_cascade_mask,
     canonical_layout,
 )
-from .prng import Xoshiro256StarStar
+from .prng import Xoshiro256StarStar, quantized_uniform
 from .prompt import OUTPUT_SLOTS, PromptBatch
 
 PAD, START, SEP_TOKEN, END = "<pad>", "<start>", "<sep>", "<end>"
@@ -48,6 +50,7 @@ SPECIALS = (PAD, START, SEP_TOKEN, END)
 
 _LN_EPS = 1e-5
 _MAGIC = b"DEC0"
+_HEADER_BYTES = 24
 
 
 def make_vocab(words) -> tuple[str, ...]:
@@ -58,11 +61,6 @@ def make_vocab(words) -> tuple[str, ...]:
             raise ValueError(f"duplicate vocab entry {w!r}")
         out.append(w)
     return tuple(out)
-
-
-def _quantized_uniform(rng: Xoshiro256StarStar, fan_in: int, shape) -> np.ndarray:
-    a = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-a, a, shape).astype(np.float32).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -83,10 +81,8 @@ class LayerWeights:
 class DecoderParams:
     """All decoder weights plus the vocabulary.
 
-    Weight tensors are drawn in a fixed order (embed, positions, adapter,
-    then per layer wq, wk, wv, wo, w1, w2, then the output head) as uniform
-    [-1/sqrt(fan_in), 1/sqrt(fan_in)] from the package PRNG and rounded to
-    float32; layernorm scales start at one, shifts at zero.
+    ``_weight_layout`` lists the weight tensors; ``seeded`` draws them in
+    that order with ``prng.quantized_uniform``.
     """
 
     vocab: tuple[str, ...]
@@ -105,6 +101,9 @@ class DecoderParams:
     head: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        for name in ("heads", "dim", "enc_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"decoder {name} must be >= 1, got {getattr(self, name)}")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
         if self.positional_mode not in ("absolute", "none"):
@@ -145,46 +144,46 @@ class DecoderParams:
     ) -> "DecoderParams":
         vocab = tuple(vocab)
         rng = Xoshiro256StarStar(seed)
-        v = len(vocab)
-        embed = _quantized_uniform(rng, dim, (v, dim))
-        if positional_mode == "absolute":
-            pos = _quantized_uniform(rng, dim, (max_len, dim))
-        else:
-            pos = np.zeros((0, dim))
-        adapter = _quantized_uniform(rng, enc_dim, (enc_dim, dim))
-        blocks = []
-        for _ in range(layers):
-            blocks.append(
-                LayerWeights(
-                    ln1_g=np.ones(dim),
-                    ln1_b=np.zeros(dim),
-                    wq=_quantized_uniform(rng, dim, (dim, dim)),
-                    wk=_quantized_uniform(rng, dim, (dim, dim)),
-                    wv=_quantized_uniform(rng, dim, (dim, dim)),
-                    wo=_quantized_uniform(rng, dim, (dim, dim)),
-                    ln2_g=np.ones(dim),
-                    ln2_b=np.zeros(dim),
-                    w1=_quantized_uniform(rng, dim, (dim, 4 * dim)),
-                    w2=_quantized_uniform(rng, 4 * dim, (4 * dim, dim)),
-                )
-            )
-        head = _quantized_uniform(rng, dim, (dim, v))
-        return cls(
-            vocab=vocab,
-            dim=dim,
-            heads=heads,
-            layers=layers,
-            positional_mode=positional_mode,
-            max_len=max_len,
-            enc_dim=enc_dim,
-            embed=embed,
-            pos=pos,
-            adapter=adapter,
-            blocks=tuple(blocks),
-            ln_f_g=np.ones(dim),
-            ln_f_b=np.zeros(dim),
-            head=head,
+
+        def draw(name, shape, fan_in):
+            if fan_in is not None:
+                return quantized_uniform(rng, fan_in, shape)
+            return np.ones(shape) if name.endswith("_g") else np.zeros(shape)
+
+        layout = _weight_layout(len(vocab), dim, layers, enc_dim, positional_mode, max_len)
+        tensors = {name: draw(name, shape, fan_in) for name, shape, fan_in in layout}
+        return cls._from_tensors(tensors, vocab=vocab, dim=dim, heads=heads, layers=layers,
+                                 positional_mode=positional_mode, max_len=max_len, enc_dim=enc_dim)
+
+    @classmethod
+    def _from_tensors(cls, tensors: dict, **header) -> "DecoderParams":
+        """Params from the scalar fields and the ``_weight_layout`` tensors by name."""
+        blocks = tuple(
+            LayerWeights(**{f.name: tensors.pop(f"blocks.{i}.{f.name}") for f in fields(LayerWeights)})
+            for i in range(header["layers"])
         )
+        tensors.setdefault("pos", np.zeros((0, header["dim"])))
+        return cls(**header, blocks=blocks, **tensors)
+
+
+def _weight_layout(v: int, dim: int, layers: int, enc_dim: int, positional_mode: str, max_len: int):
+    """Every weight tensor as ``(name, shape, fan_in)``, in draw order, which
+    is also the DEC0 file order.  Layer tensors are named ``blocks.<i>.<field>``.
+    ``fan_in`` None marks a layernorm tensor, which is not drawn: scales
+    (``_g``) start at one, shifts (``_b``) at zero."""
+    d4 = 4 * dim
+    layer = [("ln1_g", (dim,), None), ("ln1_b", (dim,), None), ("wq", (dim, dim), dim), ("wk", (dim, dim), dim),
+             ("wv", (dim, dim), dim), ("wo", (dim, dim), dim), ("ln2_g", (dim,), None), ("ln2_b", (dim,), None),
+             ("w1", (dim, d4), dim), ("w2", (d4, dim), d4)]
+    return [
+        ("embed", (v, dim), dim),
+        *([("pos", (max_len, dim), dim)] if positional_mode == "absolute" else []),
+        ("adapter", (enc_dim, dim), enc_dim),
+        *((f"blocks.{i}.{name}", shape, fan_in) for i in range(layers) for name, shape, fan_in in layer),
+        ("ln_f_g", (dim,), None),
+        ("ln_f_b", (dim,), None),
+        ("head", (dim, v), dim),
+    ]
 
 
 @dataclass(frozen=True)
@@ -338,8 +337,8 @@ def embed_sequence(seq: TokenSequence, params: DecoderParams) -> np.ndarray:
     return x
 
 
-def forward_hidden(seq: TokenSequence, mask: AttentionMaskMatrix, params: DecoderParams) -> np.ndarray:
-    """Final-layernormed hidden states (n, dim) under the visibility mask."""
+def forward(seq: TokenSequence, mask: AttentionMaskMatrix, params: DecoderParams) -> np.ndarray:
+    """Per-position logits under the given visibility mask."""
     if seq.n != mask.n:
         raise ValueError(f"shape error: sequence length {seq.n} != mask size {mask.n}")
     if seq.layout is None:
@@ -352,12 +351,7 @@ def forward_hidden(seq: TokenSequence, mask: AttentionMaskMatrix, params: Decode
         x = x + _attention(_layer_norm(x, block.ln1_g, block.ln1_b), block, params.heads, attn_blocks)
         h = _layer_norm(x, block.ln2_g, block.ln2_b)
         x = x + _gelu(h @ block.w1) @ block.w2
-    return _layer_norm(x, params.ln_f_g, params.ln_f_b)
-
-
-def forward(seq: TokenSequence, mask: AttentionMaskMatrix, params: DecoderParams) -> np.ndarray:
-    """Per-position logits under the given visibility mask."""
-    return forward_hidden(seq, mask, params) @ params.head
+    return _layer_norm(x, params.ln_f_g, params.ln_f_b) @ params.head
 
 
 # ---------------------------------------------------------------------------
@@ -422,24 +416,12 @@ def encode_label(label: str, params: DecoderParams) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_spans(layout: SequenceLayout) -> dict[int, tuple[int, int]]:
-    spans = {}
-    pos = 0
-    for seg in layout.segments:
-        if seg.kind == OUT:
-            spans[seg.index] = (pos, pos + seg.length)
-        pos += seg.length
-    return spans
-
-
-def _mask_last_positions(layout: SequenceLayout) -> dict[int, int]:
-    last = {}
-    pos = 0
-    for seg in layout.segments:
-        if seg.kind == MASK:
-            last[seg.index] = pos + seg.length - 1
-        pos += seg.length
-    return last
+def _chunk_rows(layout: SequenceLayout, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Output chunk i's slots, and for each slot the row whose logits predict
+    it: the last position of mask segment i for the first slot, the slot
+    before it for every later one."""
+    slots = layout.positions(OUT, i)
+    return slots, np.append(layout.positions(MASK, i)[-1], slots)[: slots.size]
 
 
 def decode_objects(
@@ -448,24 +430,21 @@ def decode_objects(
     params: DecoderParams,
     config: CascadeConfig | None = None,
     max_label_len: int = OUTPUT_SLOTS,
-    schedule: str = "round_robin",
 ) -> DecodeResult:
-    """Greedy-decode every object's label in one multi-slot pass.
+    """Greedy-decode every object's label, one object after another.
 
-    Output chunks are pre-allocated with ``max_label_len`` slots so absolute
-    positions are schedule-independent; generation for chunk i stops at the
-    end token or when its slots run out.
+    Each object gets ``max_label_len`` pre-allocated slots and stops at the
+    end token or when they run out; then the next object starts.  Each step
+    equals a teacher-forced ``forward`` over the decoded output (see the
+    module docstring).
     """
     if config is None:
         config = CascadeConfig.full_cascade()
-    if schedule not in ("round_robin", "sequential"):
-        raise ValueError(f"unknown schedule {schedule!r}")
     if max_label_len < 1:
         raise ValueError(f"max_label_len must be >= 1, got {max_label_len}")
     grid = batch.image_tokens
     if grid.dim != params.enc_dim:
         raise ValueError("shape error: encoder dim does not match adapter input")
-    k = batch.num_masks
     mask_lens = [ts.count for ts in batch.mask_token_sets]
     layout = canonical_layout(grid.rows * grid.cols, len(list(text_ids)), mask_lens, max_label_len)
     seq = assemble_sequence(
@@ -476,47 +455,27 @@ def decode_objects(
         text_ids=text_ids,
     )
     base = build_cascade_mask(layout, config)
-    spans = _chunk_spans(layout)
-    anchors = _mask_last_positions(layout)
-
     ids = seq.ids.copy()
-    fill = [0] * k
-    done = [False] * k
-    steps: list[list[float]] = [[] for _ in range(k)]
-    words: list[list[str]] = [[] for _ in range(k)]
-
-    def step(i: int) -> None:
-        start, stop = spans[i]
-        # output slots that hold no token yet are dead
-        unfilled = np.concatenate(
-            [np.arange(spans[j][0] + fill[j], spans[j][1]) for j in range(k)]
-        )
-        logits = forward(seq.with_ids(ids), base.without(unfilled), params)
-        anchor = start + fill[i] - 1 if fill[i] > 0 else anchors[i]
-        lp = log_softmax(logits[anchor])
-        tok = int(np.argmax(logits[anchor]))
-        ids[start + fill[i]] = tok
-        fill[i] += 1
-        steps[i].append(float(lp[tok]))
-        if tok == params.end_id or fill[i] == stop - start:
-            done[i] = True
-        if tok != params.end_id:
-            words[i].append(params.vocab[tok])
-
-    if schedule == "round_robin":
-        while not all(done):
-            for i in range(k):
-                if not done[i]:
-                    step(i)
-    else:
-        for i in range(k):
-            while not done[i]:
-                step(i)
+    unfilled = np.isin(np.arange(layout.n), layout.positions(OUT))  # slots with no token yet
+    steps, labels = [], []
+    for i in range(layout.num_objects):
+        lps, words = [], []
+        for slot, row in zip(*_chunk_rows(layout, i)):
+            logits = forward(seq.with_ids(ids), base.without(np.flatnonzero(unfilled)), params)[row]
+            tok = int(np.argmax(logits))
+            lps.append(float(log_softmax(logits)[tok]))
+            ids[slot] = tok
+            unfilled[slot] = False
+            if tok == params.end_id:
+                break
+            words.append(params.vocab[tok])
+        steps.append(tuple(lps))
+        labels.append(" ".join(words))
 
     per_object = tuple(float(sum(s)) for s in steps)
     return DecodeResult(
-        labels=tuple(" ".join(w) for w in words),
-        stepwise_logprobs=tuple(tuple(s) for s in steps),
+        labels=tuple(labels),
+        stepwise_logprobs=tuple(steps),
         per_object_logprob=per_object,
         total_logprob_joint=float(sum(per_object)),
     )
@@ -531,33 +490,27 @@ def isolate_single_mask(
     seq: TokenSequence,
     layout: SequenceLayout,
     keep: int,
-    config: CascadeConfig | None = None,
+    *,
     pad_id: int = 0,
 ) -> tuple[TokenSequence, AttentionMaskMatrix]:
     """Pad out every other object's mask and output tokens and kill their
-    rows and columns; positions (and hence position embeddings) are kept.
+    rows and columns under the full cascade; positions (and hence position
+    embeddings) are kept.
 
     ``pad_id`` defaults to 0, which is where make_vocab puts the pad token.
     """
-    if config is None:
-        config = CascadeConfig.full_cascade()
     k = layout.num_objects
     if not 0 <= keep < k:
         raise IndexError(f"keep {keep} out of range for K={k}")
-    if k > 1:
-        drop = np.concatenate(
-            [layout.positions(kind, j) for j in range(k) if j != keep for kind in (MASK, OUT)]
-        )
-    else:
-        drop = np.asarray([], dtype=np.int64)
-
+    others = [layout.positions(kind, j) for j in range(k) if j != keep for kind in (MASK, OUT)]
+    drop = np.concatenate(others) if others else np.zeros(0, dtype=np.int64)
     ids = seq.ids.copy()
     injected = seq.injected.copy()
     ids[drop] = pad_id
     injected[drop] = 0.0
     return (
         TokenSequence(ids=ids, injected=injected, layout=layout),
-        build_cascade_mask(layout, config).without(drop),
+        build_cascade_mask(layout, CascadeConfig.full_cascade()).without(drop),
     )
 
 
@@ -569,18 +522,16 @@ def teacher_forced_loss(
     """Mean cross-entropy over output-chunk token positions.
 
     Targets are the filled tokens of each output chunk (trailing pad slots
-    are ignored); the first token of chunk i is predicted from the last
-    position of mask segment i, later ones from their predecessor slot.
-    Every chunk's filled part must end with the end token.
+    are ignored), each predicted from its ``_chunk_rows`` row.  Every
+    chunk's filled part must end with the end token.
     """
     layout = seq.layout
     if layout is None:
         raise ValueError("sequence must carry its layout")
-    anchors = _mask_last_positions(layout)
-    spans = _chunk_spans(layout)
     pairs: list[tuple[int, int]] = []
-    for i, (start, stop) in sorted(spans.items()):
-        chunk_ids = seq.ids[start:stop]
+    for i in range(layout.num_objects):
+        slots, rows = _chunk_rows(layout, i)
+        chunk_ids = seq.ids[slots]
         filled = np.flatnonzero(chunk_ids != params.pad_id)
         if filled.size == 0:
             raise ValueError(f"precondition violation: output chunk {i} is empty")
@@ -588,10 +539,7 @@ def teacher_forced_loss(
             raise ValueError(f"output chunk {i} has pad gaps")
         if chunk_ids[filled[-1]] != params.end_id:
             raise ValueError(f"precondition violation: chunk {i} does not end with {END!r}")
-        pred = anchors[i]
-        for offset in range(filled[-1] + 1):
-            pairs.append((pred, int(chunk_ids[offset])))
-            pred = start + offset
+        pairs.extend(zip(rows[: filled.size].tolist(), chunk_ids[: filled.size].tolist()))
     if not pairs:
         raise ValueError("precondition violation: no output positions")
     logits = forward(seq, mask, params)
@@ -604,32 +552,31 @@ def teacher_forced_loss(
 # ---------------------------------------------------------------------------
 # Serialisation: 8-byte core header (magic "DEC0", u16 dim, u8 heads,
 # u8 layers), a 16-byte extension (u32 vocab size, u32 max_len, u32 enc_dim,
-# u32 flags bit0 = absolute positions), then all tensors as little-endian
-# float32 in draw order.  The vocabulary ships as a JSON array alongside.
+# u32 flags bit0 = absolute positions), then the ``_weight_layout`` tensors
+# as little-endian float32, in order.  The vocabulary ships as a JSON array
+# alongside.
 # ---------------------------------------------------------------------------
 
 
-def _tensors_in_order(params: DecoderParams):
-    yield params.embed
-    if params.positional_mode == "absolute":
-        yield params.pos
-    yield params.adapter
-    for b in params.blocks:
-        for t in (b.ln1_g, b.ln1_b, b.wq, b.wk, b.wv, b.wo, b.ln2_g, b.ln2_b, b.w1, b.w2):
-            yield t
-    yield params.ln_f_g
-    yield params.ln_f_b
-    yield params.head
+def _tensor(params: DecoderParams, name: str) -> np.ndarray:
+    """The tensor a ``_weight_layout`` name refers to."""
+    if name.startswith("blocks."):
+        _, i, field_name = name.split(".")
+        return getattr(params.blocks[int(i)], field_name)
+    return getattr(params, name)
 
 
 def save_decoder_params(params: DecoderParams, blob_path, vocab_path) -> None:
+    layout = _weight_layout(
+        len(params.vocab), params.dim, params.layers, params.enc_dim, params.positional_mode, params.max_len
+    )
     with open(blob_path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<HBB", params.dim, params.heads, params.layers))
         flags = 1 if params.positional_mode == "absolute" else 0
         fh.write(struct.pack("<IIII", len(params.vocab), params.max_len, params.enc_dim, flags))
-        for tensor in _tensors_in_order(params):
-            fh.write(np.asarray(tensor).astype("<f4").tobytes())
+        for name, _, _ in layout:
+            fh.write(np.asarray(_tensor(params, name)).astype("<f4").tobytes())
     with open(vocab_path, "w", encoding="ascii") as fh:
         json.dump(list(params.vocab), fh)
         fh.write("\n")
@@ -642,59 +589,21 @@ def load_decoder_params(blob_path, vocab_path) -> DecoderParams:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ValueError(f"bad magic {blob[:4]!r}, expected {_MAGIC!r}")
+    if len(blob) < _HEADER_BYTES:
+        raise ValueError(f"decoder blob size mismatch: {len(blob)} bytes, the header alone is {_HEADER_BYTES}")
     dim, heads, layers = struct.unpack("<HBB", blob[4:8])
-    vocab_size, max_len, enc_dim, flags = struct.unpack("<IIII", blob[8:24])
+    vocab_size, max_len, enc_dim, flags = struct.unpack("<IIII", blob[8:_HEADER_BYTES])
     if vocab_size != len(vocab):
         raise ValueError("vocab size does not match blob header")
     positional_mode = "absolute" if flags & 1 else "none"
-    data = np.frombuffer(blob[24:], dtype="<f4").astype(np.float64)
-
-    cursor = [0]
-
-    def take(shape):
-        size = int(np.prod(shape))
-        out = data[cursor[0] : cursor[0] + size].reshape(shape)
-        cursor[0] += size
-        return out
-
-    v = vocab_size
-    embed = take((v, dim))
-    pos = take((max_len, dim)) if positional_mode == "absolute" else np.zeros((0, dim))
-    adapter = take((enc_dim, dim))
-    blocks = []
-    for _ in range(layers):
-        blocks.append(
-            LayerWeights(
-                ln1_g=take((dim,)),
-                ln1_b=take((dim,)),
-                wq=take((dim, dim)),
-                wk=take((dim, dim)),
-                wv=take((dim, dim)),
-                wo=take((dim, dim)),
-                ln2_g=take((dim,)),
-                ln2_b=take((dim,)),
-                w1=take((dim, 4 * dim)),
-                w2=take((4 * dim, dim)),
-            )
+    layout = _weight_layout(vocab_size, dim, layers, enc_dim, positional_mode, max_len)
+    sizes = [int(np.prod(shape)) for _, shape, _ in layout]
+    if 4 * sum(sizes) != len(blob) - _HEADER_BYTES:
+        raise ValueError(
+            f"decoder blob size mismatch: header implies {4 * sum(sizes)} weight bytes, found {len(blob) - _HEADER_BYTES}"
         )
-    ln_f_g = take((dim,))
-    ln_f_b = take((dim,))
-    head = take((dim, v))
-    if cursor[0] != data.size:
-        raise ValueError("trailing bytes in decoder blob")
-    return DecoderParams(
-        vocab=vocab,
-        dim=dim,
-        heads=heads,
-        layers=layers,
-        positional_mode=positional_mode,
-        max_len=max_len,
-        enc_dim=enc_dim,
-        embed=embed,
-        pos=pos,
-        adapter=adapter,
-        blocks=tuple(blocks),
-        ln_f_g=ln_f_g,
-        ln_f_b=ln_f_b,
-        head=head,
-    )
+    data = np.frombuffer(blob, dtype="<f4", offset=_HEADER_BYTES).astype(np.float64)
+    chunks = np.split(data, np.cumsum(sizes)[:-1])
+    tensors = {name: chunk.reshape(shape) for (name, shape, _), chunk in zip(layout, chunks)}
+    return DecoderParams._from_tensors(tensors, vocab=vocab, dim=dim, heads=heads, layers=layers,
+                                       positional_mode=positional_mode, max_len=max_len, enc_dim=enc_dim)

@@ -3,8 +3,8 @@
 One ``EncoderParams`` instance is shared between the global image and every
 mask crop, so identical pixel content maps to identical features no matter
 which path produced it.  Weights are drawn from the package PRNG
-(xoshiro256**, see prng.py) as uniform [-a, a] with a = 1/sqrt(fan_in), then
-rounded to float32, like the decoder weights.
+(xoshiro256**, see prng.py) by ``prng.quantized_uniform``, like the decoder
+weights.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maskio import RasterImage
-from .prng import Xoshiro256StarStar
+from .prng import Xoshiro256StarStar, quantized_uniform
 
 GRID_SIDE = 16
 PATCH_SIDE = 28
@@ -59,6 +59,8 @@ class EncoderParams:
     projection: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"encoder dim must be >= 1, got {self.dim}")
         proj = np.asarray(self.projection, dtype=np.float64)
         fan_in = self.patch_side * self.patch_side * self.channels
         if proj.shape != (fan_in, self.dim):
@@ -72,9 +74,7 @@ class EncoderParams:
         cls, seed: int, patch_side: int = PATCH_SIDE, dim: int = 16, channels: int = 1
     ) -> "EncoderParams":
         fan_in = patch_side * patch_side * channels
-        a = 1.0 / np.sqrt(fan_in)
-        rng = Xoshiro256StarStar(seed)
-        proj = rng.uniform(-a, a, (fan_in, dim)).astype(np.float32).astype(np.float64)
+        proj = quantized_uniform(Xoshiro256StarStar(seed), fan_in, (fan_in, dim))
         return cls(patch_side=patch_side, dim=dim, channels=channels, projection=proj)
 
 

@@ -37,6 +37,8 @@ class TrigramHashProvider:
     """
 
     def __init__(self, dim: int = 256):
+        if dim < 1:
+            raise ValueError(f"provider dim must be >= 1, got {dim}")
         self.name = f"trigram-fnv1a-{dim}"
         self.dim = dim
 

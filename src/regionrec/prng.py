@@ -65,3 +65,10 @@ class Xoshiro256StarStar:
         if n <= 0:
             raise ValueError("n must be positive")
         return self.next_u64() % n
+
+
+def quantized_uniform(rng: Xoshiro256StarStar, fan_in: int, shape) -> np.ndarray:
+    """Weight init shared by encoder and decoder: uniform in
+    [-1/sqrt(fan_in), 1/sqrt(fan_in)), rounded to float32, held as float64."""
+    a = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-a, a, shape).astype(np.float32).astype(np.float64)

@@ -64,7 +64,6 @@ class PromptBatch:
 
     image_tokens: FeatureGrid
     mask_token_sets: tuple[MaskTokenSet, ...]
-    context_scale: float
 
     def __post_init__(self):
         sets = tuple(self.mask_token_sets)
@@ -132,7 +131,7 @@ def build_prompt_batch(
         mask2token(image, m, params, scale=scale, grid=grid, mask_index=i)
         for i, m in enumerate(masks)
     )
-    return PromptBatch(image_tokens=image_tokens, mask_token_sets=sets, context_scale=scale)
+    return PromptBatch(image_tokens=image_tokens, mask_token_sets=sets)
 
 
 # ---------------------------------------------------------------------------

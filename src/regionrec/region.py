@@ -177,6 +177,8 @@ def extract_and_resize(image: RasterImage, window: CropWindow, out_side: int) ->
 
 def resize_image(image: RasterImage, out_w: int, out_h: int) -> RasterImage:
     """Square-stretch resize of the full image (no aspect preservation)."""
+    if out_w < 1 or out_h < 1:
+        raise ValueError(f"output size must be >= 1, got {out_w}x{out_h}")
     xs = (np.arange(out_w) + 0.5) * (image.width / out_w) - 0.5
     ys = (np.arange(out_h) + 0.5) * (image.height / out_h) - 0.5
     return _resample(image, xs, ys)

@@ -1,6 +1,8 @@
 """Command line: exit codes per subcommand, config defaults, ``--pretty``
-placement, the pinned ``maskviz`` dumps and the rejected inputs."""
+placement, the pinned ``maskviz`` and ``decode`` outputs and the rejected
+inputs."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -9,7 +11,10 @@ import pytest
 
 from regionrec import cli, decoder, harness, prompt
 from regionrec.attnmask import canonical_layout
+from regionrec.encoder import EncoderParams
 from regionrec.maskio import BinaryMask, MaskRecord, RasterImage, write_pgm, write_records
+from regionrec.metrics import TrigramHashProvider
+from regionrec.region import resize_image
 
 
 def run(argv) -> int:
@@ -167,3 +172,66 @@ def test_decoder_params_file_round_trip(files, monkeypatch, capsys):
     decoder.save_decoder_params(used[0], files / "dec.bin", files / "vocab.json")
     assert run(argv + ["--params", str(files / "dec.bin"), "--vocab", str(files / "vocab.json")]) == 0
     assert capsys.readouterr().out == seeded
+
+
+@pytest.mark.parametrize(
+    "variant, digest", [("cascade", "fb2b539d3bf08126"), ("output", "40e9ecf2bb24efe4")]
+)
+def test_decode_output_is_pinned(variant, digest, files, capsys):
+    """Under these two configs no output chunk sees another, so the output
+    does not depend on the order in which the objects are decoded."""
+    assert run(["decode", "--image", str(files / "img.pgm"), "--masks", str(files / "masks.jsonl"),
+                "--variant", variant]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
+_IMAGE = RasterImage.from_array(np.zeros((4, 4)))
+_PARAMS = decoder.DecoderParams.seeded(0, decoder.make_vocab([]), dim=8, layers=1, max_len=4)
+
+
+def _small_dec0(directory, edit):
+    """A seeded decoder saved as DEC0, with ``edit`` applied to the blob bytes."""
+    decoder.save_decoder_params(_PARAMS, directory / "dec.bin", directory / "vocab.json")
+    blob = (directory / "dec.bin").read_bytes()
+    (directory / "dec.bin").write_bytes(edit(blob))
+    return ["--params", str(directory / "dec.bin"), "--vocab", str(directory / "vocab.json")]
+
+
+@pytest.mark.parametrize(
+    "edit", [lambda b: b[:-4], lambda b: b + bytes(4), lambda b: b[:10]], ids=["short", "long", "header-cut"]
+)
+def test_decoder_blob_of_the_wrong_size_exits_2(edit, files, capsys):
+    argv = ["decode", "--image", str(files / "img.pgm"), "--masks", str(files / "masks.jsonl")]
+    assert run(argv + _small_dec0(files, edit)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "size mismatch" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: TrigramHashProvider(dim=0), lambda: resize_image(_IMAGE, 0, 4), lambda: resize_image(_IMAGE, 4, 0),
+     lambda: EncoderParams.seeded(0, dim=0), lambda: dataclasses.replace(_PARAMS, heads=0),
+     lambda: dataclasses.replace(_PARAMS, dim=0), lambda: dataclasses.replace(_PARAMS, enc_dim=0)],
+    ids=["provider-dim", "resize-width", "resize-height", "encoder-dim", "decoder-heads", "decoder-dim",
+         "decoder-enc-dim"],
+)
+def test_zero_sizes_are_rejected_where_they_are_built(build):
+    with pytest.raises(ValueError, match=">= 1"):
+        build()
+
+
+@pytest.mark.parametrize("case", ["eval-provider-dim", "tokenize-grid", "tokenize-enc-dim", "decode-enc-dim",
+                                  "bench-enc-dim", "decode-zero-heads"])
+def test_zero_sizes_exit_2(case, files, capsys):
+    image, masks = ["--image", str(files / "img.pgm")], ["--masks", str(files / "masks.jsonl")]
+    argv = {
+        "eval-provider-dim": ["eval", "--pred", str(files / "pred.jsonl"), "--provider-dim", "0"],
+        "tokenize-grid": ["tokenize", *image, *masks, "--out-dir", str(files / "tok"), "--grid", "0"],
+        "tokenize-enc-dim": ["tokenize", *image, *masks, "--out-dir", str(files / "tok"), "--enc-dim", "0"],
+        "decode-enc-dim": ["decode", *image, *masks, "--enc-dim", "0"],
+        "bench-enc-dim": ["bench", "--k-values", "1", "--flops-only", "--enc-dim", "0"],
+        "decode-zero-heads": ["decode", *image, *masks, *_small_dec0(files, lambda b: b[:6] + bytes(1) + b[7:])],
+    }[case]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ">= 1" in err and err.count("\n") == 1

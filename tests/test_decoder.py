@@ -154,7 +154,7 @@ def random_batch(rng, mask_lens, grid_side=2) -> PromptBatch:
         idx = np.stack([cells // grid_side, cells % grid_side], axis=1)
         sets.append(MaskTokenSet(tokens=rng.normal(size=(m, ENC_DIM)), grid_indices=idx, mask_index=i))
     grid = FeatureGrid(grid_side, grid_side, ENC_DIM, rng.normal(size=(grid_side, grid_side, ENC_DIM)))
-    return PromptBatch(image_tokens=grid, mask_token_sets=tuple(sets), context_scale=2.0)
+    return PromptBatch(image_tokens=grid, mask_token_sets=tuple(sets))
 
 
 def random_fill(rng, layout) -> tuple[list[tuple[int, int]], np.ndarray]:
@@ -194,13 +194,12 @@ def test_forward_matches_per_row_reference_on_random_layouts(config, params, rng
         assert_close_to_oracle(seq, build_cascade_mask(layout, config), params)
 
 
-@pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)
-def test_forward_matches_reference_on_isolated_masks(config, params, rng):
+def test_forward_matches_reference_on_isolated_masks(params, rng):
     for _ in range(4):
         layout = random_layout(rng)
         seq = random_sequence(rng, layout, params)
         keep = int(rng.integers(layout.num_objects))
-        iso_seq, iso_mask = isolate_single_mask(seq, layout, keep, config, pad_id=params.pad_id)
+        iso_seq, iso_mask = isolate_single_mask(seq, layout, keep, pad_id=params.pad_id)
         assert_close_to_oracle(iso_seq, iso_mask, params)
 
 
@@ -254,17 +253,36 @@ def test_isolation_leaves_kept_rows_bit_identical(params, rng):
         assert np.array_equal(full[rows], alone[rows])
 
 
-def test_round_robin_equals_sequential_decoding(params, rng):
-    batch = random_batch(rng, [3, 1, 4, 2])
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)
+def test_each_decode_step_equals_a_teacher_forced_forward(config, params, rng):
+    """Every step's token is the argmax, and its log-prob the log-softmax, of
+    one forward over the decoded output with unused trailing slots dead."""
     text_ids = [params.token_id("<start>"), params.token_id("w0")]
-    rr = decode_objects(batch, text_ids, params, schedule="round_robin", max_label_len=4)
-    seq = decode_objects(batch, text_ids, params, schedule="sequential", max_label_len=4)
-    assert rr == seq
+    for _ in range(6):
+        mask_lens = [int(m) for m in rng.integers(1, 5, size=int(rng.integers(1, 5)))]
+        slots = int(rng.integers(1, 6))
+        batch = random_batch(rng, mask_lens)
+        result = decode_objects(batch, text_ids, params, config=config, max_label_len=slots)
+        decoded = {}
+        for i, (label, steps) in enumerate(zip(result.labels, result.stepwise_logprobs)):
+            ids = [params.token_id(w) for w in label.split()]
+            decoded[i] = ids + [params.end_id] * (len(steps) - len(ids))
+        layout = canonical_layout(4, len(text_ids), mask_lens, slots)
+        seq = assemble_sequence(layout, params, batch.image_tokens.tokens(),
+                                {ts.mask_index: ts.tokens for ts in batch.mask_token_sets}, text_ids, decoded)
+        unused = np.concatenate([layout.positions(OUT, i)[len(ids):] for i, ids in decoded.items()])
+        logits = forward(seq, build_cascade_mask(layout, config).without(unused), params)
+        for i, ids in decoded.items():
+            rows = [layout.positions(MASK, i)[-1], *layout.positions(OUT, i)[: len(ids) - 1]]
+            for row, tok, lp in zip(rows, ids, result.stepwise_logprobs[i]):
+                assert int(np.argmax(logits[row])) == tok
+                logp = logits[row] - np.log(np.exp(logits[row]).sum())
+                assert abs(logp[tok] - lp) <= TOL
 
 
 def test_object0_steps_are_independent_of_k(params_nopos, rng):
     batch = random_batch(rng, [3, 1, 4, 2])
-    alone = PromptBatch(batch.image_tokens, batch.mask_token_sets[:1], batch.context_scale)
+    alone = PromptBatch(batch.image_tokens, batch.mask_token_sets[:1])
     text_ids = [params_nopos.token_id("<start>")]
     k4 = decode_objects(batch, text_ids, params_nopos, max_label_len=5)
     k1 = decode_objects(alone, text_ids, params_nopos, max_label_len=5)
