@@ -31,12 +31,11 @@ from .decoder import (
 )
 from .encoder import EncoderParams, FeatureGrid, encode
 from .harness import (
-    AlwaysYesOracle,
-    CostModel,
     PipelineReport,
     ScalingReport,
     ScriptedOracle,
-    estimate_cost,
+    decoder_flops,
+    encoder_flops,
     run_filter_pipeline,
     run_scaling_bench,
     synthesize_mask_corpus,
@@ -45,7 +44,6 @@ from .maskio import (
     BinaryMask,
     MaskRecord,
     RasterImage,
-    area_ratio_filter,
     mask_from_rle,
     mask_to_rle,
     read_pgm,

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import attnmask, decoder, harness, maskio, metrics, prompt
 from .attnmask import CascadeConfig, build_cascade_mask, canonical_layout, dump_attention_mask
 from .encoder import EncoderParams
-from .harness import AlwaysYesOracle, ScriptedOracle, bench_decoder_params, run_filter_pipeline, run_scaling_bench, synthesize_mask_corpus
+from .harness import ScriptedOracle, bench_decoder_params, run_filter_pipeline, run_scaling_bench, synthesize_mask_corpus
 from .prompt import OUTPUT_SLOTS, build_prompt_batch, dump_token_set
 
 _VARIANTS = {
@@ -152,18 +152,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench(args) -> int:
     k_values = [int(v) for v in args.k_values.split(",") if v]
+    harness.check_k_values(k_values)  # before the slow decoder set-up
     image, masks = synthesize_mask_corpus(max(k_values), seed=args.seed)
     enc = EncoderParams.seeded(args.seed, dim=args.enc_dim)
     dec = bench_decoder_params(seed=args.seed, enc_dim=args.enc_dim)
-    report = run_scaling_bench(
-        k_values,
-        image,
-        masks,
-        enc,
-        dec,
-        text_len=args.text_len,
-        repeats=0 if args.flops_only else args.repeats,
-    )
+    report = run_scaling_bench(k_values, image, masks, enc, dec, text_len=args.text_len, repeats=args.repeats)
     if args.csv:
         Path(args.csv).write_text(report.to_csv())
     _emit(args, report.to_json())
@@ -173,9 +166,11 @@ def _cmd_bench(args) -> int:
 def _cmd_pipeline(args) -> int:
     records = maskio.read_records(args.records)
     if args.oracle == "always-yes":
-        oracle = AlwaysYesOracle()
+        oracle = ScriptedOracle({})
     elif args.oracle.startswith("file:"):
         table = json.loads(Path(args.oracle[5:]).read_text())
+        if not isinstance(table, list) or not all(isinstance(row, dict) for row in table):
+            raise ValueError("oracle file must hold a JSON list of objects")
         oracle = ScriptedOracle(
             {(row["image_id"], row.get("label", "")): row["answer"] for row in table}
         )
@@ -238,11 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="instance-scaling cost benchmark")
     p.add_argument("--k-values", default="1,2,4,8,16,32")
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=int, default=5, help="timed passes per K; 0 omits wall times (default 5)")
     p.add_argument("--text-len", type=int, default=harness.BENCH_TEXT_LEN)
     p.add_argument("--enc-dim", type=int, default=16)
     p.add_argument("--csv", help="also write rows as CSV")
-    p.add_argument("--flops-only", action="store_true", help="omit wall times for reproducible output")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("pipeline", help="area-ratio filter plus oracle re-query")

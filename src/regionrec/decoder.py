@@ -445,8 +445,9 @@ def decode_objects(
     grid = batch.image_tokens
     if grid.dim != params.enc_dim:
         raise ValueError("shape error: encoder dim does not match adapter input")
+    text_ids = list(text_ids)
     mask_lens = [ts.count for ts in batch.mask_token_sets]
-    layout = canonical_layout(grid.rows * grid.cols, len(list(text_ids)), mask_lens, max_label_len)
+    layout = canonical_layout(grid.rows * grid.cols, len(text_ids), mask_lens, max_label_len)
     seq = assemble_sequence(
         layout,
         params,

@@ -1,13 +1,15 @@
-"""Analytic FLOP model, the instance-scaling benchmark, and the two-stage
-dataset filter pipeline.
+"""The instance-scaling benchmark and the two-stage dataset filter pipeline.
 
-FLOPs are counted analytically (2*m*n*k per matmul; the attention
-interaction term is 4 * visible-pairs * dim, 2 * visible-pairs * dim each
-for Q.K^T and the weighted sum of V, block-sparse aware) so the scaling
-property is checkable independent of hardware.  Wall time is
+FLOPs are counted analytically from the weights' sizes (2*m*n*k per matmul;
+the attention interaction term is 4 * visible-pairs * dim, 2 * visible-pairs
+* dim each for Q.K^T and the weighted sum of V, block-sparse aware) so the
+scaling property is checkable independent of hardware.  Wall time is
 reported for context but never asserted.  The simulated single-mask
 comparator re-encodes and re-decodes per instance, i.e. exactly K times the
 K=1 cost.
+
+The filter drops masks below an area ratio of their raster, then asks an
+oracle to confirm each record of a head category.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attnmask import IMAGE, MASK, AttentionMaskMatrix, CascadeConfig, SequenceLayout, build_cascade_mask, canonical_layout
+from .attnmask import IMAGE, MASK, CascadeConfig, build_cascade_mask, canonical_layout
 from .decoder import START, DecoderParams, assemble_sequence, forward, make_vocab
-from .encoder import EncoderParams
-from .maskio import BinaryMask, MaskRecord, RasterImage, area_ratio_filter
+from .encoder import GRID_SIDE, EncoderParams
+from .maskio import BinaryMask, MaskRecord, RasterImage
 from .prng import Xoshiro256StarStar
 from .prompt import OUTPUT_SLOTS, build_prompt_batch
 
@@ -41,76 +43,26 @@ QUESTION_TEMPLATE = (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Analytic per-component FLOP counts for the toy pipeline."""
-
-    patch_side: int
-    enc_dim: int
-    channels: int
-    grid_side: int
-    dec_dim: int
-    dec_layers: int
-    vocab_size: int
-
-    @property
-    def input_side(self) -> int:
-        return self.patch_side * self.grid_side
-
-    def crop_resize_flops(self) -> int:
-        return RESIZE_FLOPS_PER_PIXEL * self.input_side * self.input_side * self.channels
-
-    def encoder_flops_per_crop(self) -> int:
-        fan_in = self.patch_side * self.patch_side * self.channels
-        patches = self.grid_side * self.grid_side
-        return 2 * patches * fan_in * self.enc_dim
-
-    def decoder_flops(self, n: int, visible_pairs: int, injected: int) -> int:
-        d = self.dec_dim
-        per_layer = 4 * 2 * n * d * d  # q, k, v, o projections
-        per_layer += 4 * visible_pairs * d  # Q.K^T and A.V over visible pairs
-        per_layer += 2 * 2 * n * d * 4 * d  # mlp up + down
-        total = self.dec_layers * per_layer
-        total += 2 * n * d * self.vocab_size  # output head
-        total += 2 * injected * self.enc_dim * d  # feature adapter
-        return total
-
-    @classmethod
-    def from_params(cls, enc: EncoderParams, dec: DecoderParams, grid_side: int = 16) -> "CostModel":
-        return cls(
-            patch_side=enc.patch_side,
-            enc_dim=enc.dim,
-            channels=enc.channels,
-            grid_side=grid_side,
-            dec_dim=dec.dim,
-            dec_layers=dec.layers,
-            vocab_size=len(dec.vocab),
-        )
+def encoder_flops(k: int, enc: EncoderParams) -> int:
+    """K crop encodes plus one global encode, each a resize to the encoder
+    input and a patch projection onto the ``GRID_SIDE`` grid."""
+    side = enc.patch_side * GRID_SIDE
+    resize = RESIZE_FLOPS_PER_PIXEL * side * side * enc.channels
+    projection = 2 * GRID_SIDE * GRID_SIDE * enc.projection.size
+    return (k + 1) * (resize + projection)
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
-    encoder_flops: int
-    decoder_flops: int
-
-    @property
-    def total(self) -> int:
-        return self.encoder_flops + self.decoder_flops
-
-
-def estimate_cost(
-    layout: SequenceLayout,
-    mask: AttentionMaskMatrix,
-    k: int,
-    model: CostModel,
-) -> CostBreakdown:
-    """Total model FLOPs: K crop encodes plus one global encode, and a single
-    decoder pass over the multi-instance sequence."""
-    per_crop = model.crop_resize_flops() + model.encoder_flops_per_crop()
-    encoder = (k + 1) * per_crop  # K crops + the global image
-    injected = sum(seg.length for seg in layout.segments if seg.kind in (IMAGE, MASK))
-    decoder = model.decoder_flops(layout.n, mask.visible_pairs(), injected)
-    return CostBreakdown(encoder_flops=encoder, decoder_flops=decoder)
+def decoder_flops(n: int, visible_pairs: int, injected: int, dec: DecoderParams) -> int:
+    """One decoder forward over n rows with ``visible_pairs`` visible pairs
+    and ``injected`` feature rows through the adapter."""
+    d = dec.dim
+    per_layer = 4 * 2 * n * d * d  # q, k, v, o projections
+    per_layer += 4 * visible_pairs * d  # Q.K^T and A.V over visible pairs
+    per_layer += 2 * 2 * n * d * 4 * d  # mlp up + down
+    total = dec.layers * per_layer
+    total += 2 * n * d * len(dec.vocab)  # output head
+    total += 2 * injected * dec.enc_dim * d  # feature adapter
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -176,59 +128,70 @@ def synthesize_mask_corpus(n_masks: int, seed: int = 0) -> tuple[RasterImage, li
 @dataclass(frozen=True)
 class ScalingRow:
     k: int
-    total_flops: int
-    encoder_share: float
-    decoder_share: float
-    wall_time_ms: float | None  # None when no timed pass ran
+    encoder_flops: int
+    decoder_flops: int
     comparator_flops: int
+    wall_time_ms: float | None  # None when no timed pass ran
+
+    @property
+    def total_flops(self) -> int:
+        return self.encoder_flops + self.decoder_flops
+
+    @property
+    def encoder_share(self) -> float:
+        return self.encoder_flops / self.total_flops
+
+    @property
+    def decoder_share(self) -> float:
+        return self.decoder_flops / self.total_flops
+
+
+# (name, CSV format) of each written column; wall_time_ms only when timed
+_COLUMNS = (
+    ("k", "d"),
+    ("total_flops", "d"),
+    ("encoder_share", ".6f"),
+    ("decoder_share", ".6f"),
+    ("comparator_flops", "d"),
+    ("wall_time_ms", ".3f"),
+)
 
 
 @dataclass(frozen=True)
 class ScalingReport:
     rows: tuple[ScalingRow, ...]
-    growth_factor: float
-    comparator_growth_factor: float
 
     def __post_init__(self):
         totals = [r.total_flops for r in self.rows]
         if any(b < a for a, b in zip(totals, totals[1:])):
             raise ValueError("total_flops must be monotone non-decreasing in K")
 
-    def to_json(self) -> str:
+    def _columns(self) -> tuple[tuple[str, str], ...]:
         timed = all(r.wall_time_ms is not None for r in self.rows)
-        rows = []
-        for r in self.rows:
-            row = {
-                "k": r.k,
-                "total_flops": r.total_flops,
-                "encoder_share": r.encoder_share,
-                "decoder_share": r.decoder_share,
-                "comparator_flops": r.comparator_flops,
-            }
-            if timed:
-                row["wall_time_ms"] = r.wall_time_ms
-            rows.append(row)
+        return _COLUMNS if timed else _COLUMNS[:-1]
+
+    def to_json(self) -> str:
+        first, last = self.rows[0], self.rows[-1]
         return json.dumps(
             {
-                "rows": rows,
-                "growth_factor": self.growth_factor,
-                "comparator_growth_factor": self.comparator_growth_factor,
+                "rows": [{name: getattr(r, name) for name, _ in self._columns()} for r in self.rows],
+                "growth_factor": last.total_flops / first.total_flops,
+                "comparator_growth_factor": last.comparator_flops / first.comparator_flops,
             },
             sort_keys=True,
         )
 
     def to_csv(self) -> str:
-        timed = all(r.wall_time_ms is not None for r in self.rows)
-        header = "k,total_flops,encoder_share,decoder_share,comparator_flops"
-        if timed:
-            header += ",wall_time_ms"
-        lines = [header]
-        for r in self.rows:
-            line = f"{r.k},{r.total_flops},{r.encoder_share:.6f},{r.decoder_share:.6f},{r.comparator_flops}"
-            if timed:
-                line += f",{r.wall_time_ms:.3f}"
-            lines.append(line)
+        columns = self._columns()
+        lines = [",".join(name for name, _ in columns)]
+        lines += [",".join(format(getattr(r, name), fmt) for name, fmt in columns) for r in self.rows]
         return "\n".join(lines) + "\n"
+
+
+def check_k_values(k_values: list[int]) -> None:
+    """Reject an empty, non-positive or descending list of instance counts."""
+    if not k_values or min(k_values) < 1 or any(b < a for a, b in zip(k_values, k_values[1:])):
+        raise ValueError(f"input error: k_values must be positive and non-decreasing, got {k_values}")
 
 
 def run_scaling_bench(
@@ -248,42 +211,35 @@ def run_scaling_bench(
     ``repeats=0`` runs no timed pass and leaves ``wall_time_ms`` None.
     FLOP numbers come from the analytic model.
     """
-    if not k_values:
-        raise ValueError("input error: k_values is empty")
+    check_k_values(k_values)
     if max(k_values) > len(masks):
-        raise ValueError(
-            f"input error: need {max(k_values)} masks, corpus has {len(masks)}"
-        )
+        raise ValueError(f"input error: need {max(k_values)} masks, corpus has {len(masks)}")
     if repeats < 0:
         raise ValueError(f"input error: repeats must be >= 0, got {repeats}")
     config = CascadeConfig.full_cascade()
-    model = CostModel.from_params(enc_params, dec_params)
     text_ids = [dec_params.token_id(START)] * text_len
 
-    # single-instance baseline for the simulated one-mask-per-pass comparator
-    k1_batch = build_prompt_batch(image, masks[:1], enc_params)
-    k1_layout = canonical_layout(
-        k1_batch.image_tokens.rows * k1_batch.image_tokens.cols,
-        text_len,
-        [k1_batch.mask_token_sets[0].count],
-        OUTPUT_SLOTS,
-    )
-    k1_total = estimate_cost(k1_layout, build_cascade_mask(k1_layout, config), 1, model).total
-
-    rows = []
-    for k in k_values:
-        batch = build_prompt_batch(image, masks[:k], enc_params, max_masks=max(30, k))
+    def one_pass(k: int):
+        """Layout and cascade mask of the first k masks' prompt, and the
+        (encoder, decoder) FLOPs of one pass over them."""
+        batch = build_prompt_batch(image, masks[:k], enc_params, max_masks=k)
         mask_lens = [ts.count for ts in batch.mask_token_sets]
         layout = canonical_layout(
             batch.image_tokens.rows * batch.image_tokens.cols, text_len, mask_lens, OUTPUT_SLOTS
         )
         attn = build_cascade_mask(layout, config)
-        cost = estimate_cost(layout, attn, k, model)
+        injected = sum(seg.length for seg in layout.segments if seg.kind in (IMAGE, MASK))
+        flops = encoder_flops(k, enc_params), decoder_flops(layout.n, attn.visible_pairs(), injected, dec_params)
+        return layout, attn, flops
 
+    k1_total = sum(one_pass(1)[2])  # the one-mask-per-pass comparator costs K times this
+    rows = []
+    for k in k_values:
+        layout, attn, (enc_flops, dec_flops) = one_pass(k)
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            b = build_prompt_batch(image, masks[:k], enc_params, max_masks=max(30, k))
+            b = build_prompt_batch(image, masks[:k], enc_params, max_masks=k)
             seq = assemble_sequence(
                 layout,
                 dec_params,
@@ -293,25 +249,9 @@ def run_scaling_bench(
             )
             forward(seq, attn, dec_params)
             times.append((time.perf_counter() - t0) * 1000.0)
-
-        rows.append(
-            ScalingRow(
-                k=k,
-                total_flops=cost.total,
-                encoder_share=cost.encoder_flops / cost.total,
-                decoder_share=cost.decoder_flops / cost.total,
-                wall_time_ms=statistics.median(times) if times else None,
-                comparator_flops=k * k1_total,
-            )
-        )
-
-    growth = rows[-1].total_flops / rows[0].total_flops
-    comparator_growth = rows[-1].comparator_flops / rows[0].comparator_flops
-    return ScalingReport(
-        rows=tuple(rows),
-        growth_factor=growth,
-        comparator_growth_factor=comparator_growth,
-    )
+        wall = statistics.median(times) if times else None
+        rows.append(ScalingRow(k, enc_flops, dec_flops, comparator_flops=k * k1_total, wall_time_ms=wall))
+    return ScalingReport(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +259,11 @@ def run_scaling_bench(
 # ---------------------------------------------------------------------------
 
 
-class AlwaysYesOracle:
-    """Mock oracle that confirms every mask-category pair."""
-
-    def ask(self, question: str, record: MaskRecord) -> str:
-        return "yes"
-
-
 class ScriptedOracle:
     """Mock oracle answering from an (image_id, label) -> answer table.
 
-    Missing entries answer "yes"; an answer of "error" raises, exercising
+    Missing entries answer "yes", so ``ScriptedOracle({})`` confirms every
+    record; an answer of "error" raises, exercising
     the flagged-record path.
     """
 
@@ -378,19 +312,25 @@ def run_filter_pipeline(
     min_ratio: float = MIN_AREA_RATIO,
     head_threshold: int = HEAD_THRESHOLD,
 ) -> PipelineReport:
-    """Stage 1: drop masks below the area ratio.  Stage 2: for categories
-    with at least ``head_threshold`` surviving samples, re-query the oracle
-    with the confirmation question and drop "no" answers.
+    """Stage 1: drop masks whose area is below ``min_ratio`` of their raster,
+    keeping input order.  Stage 2: for categories with at least
+    ``head_threshold`` surviving samples, re-query the oracle with the
+    confirmation question and drop "no" answers.
 
     Oracle failures or unparseable answers flag the record and keep it;
-    nothing is ever silently dropped.
+    nothing is ever silently dropped.  Records of one ``image_id`` must
+    share a raster size.
     """
-    areas: dict[str, int] = {}
+    if not 0.0 <= min_ratio <= 1.0:
+        raise ValueError("min_ratio must be within [0, 1]")
+    sizes: dict[str, tuple[int, int]] = {}
+    kept = []
     for record in records:
-        area = record.mask.width * record.mask.height
-        if areas.setdefault(record.image_id, area) != area:
+        mask = record.mask
+        if sizes.setdefault(record.image_id, (mask.width, mask.height)) != (mask.width, mask.height):
             raise ValueError(f"inconsistent raster size for image_id {record.image_id!r}")
-    kept, dropped = area_ratio_filter(records, areas, min_ratio)
+        if mask.area() / (mask.width * mask.height) >= min_ratio:
+            kept.append(record)
 
     counts: dict[str, int] = {}
     for record in kept:
@@ -423,7 +363,7 @@ def run_filter_pipeline(
     return PipelineReport(
         input_count=len(records),
         stage1_kept=len(kept),
-        stage1_dropped=len(dropped),
+        stage1_dropped=len(records) - len(kept),
         head_categories=tuple(sorted(head)),
         stage2_queried=queried,
         stage2_dropped=stage2_dropped,

@@ -1,4 +1,4 @@
-"""Image and mask data types with bit-exact file I/O, plus the area-ratio filter.
+"""Image and mask data types with bit-exact file I/O.
 
 File formats:
 
@@ -6,7 +6,8 @@ File formats:
 * Uncompressed run-length JSON ``{"size": [h, w], "counts": [...]}`` in
   column-major order, first run counting false pixels.
 * Mask record collections as JSON lines, one object per line:
-  ``{"image_id": ..., "label": ..., "rle": {...}}``.
+  ``{"image_id": ..., "label": ..., "rle": {...}}``.  ``read_json_lines``
+  reads these and the prediction files of ``metrics``.
 """
 
 from __future__ import annotations
@@ -258,58 +259,37 @@ def record_to_json(record: MaskRecord) -> str:
     )
 
 
-def record_from_json(line: str) -> MaskRecord:
-    obj = json.loads(line)
-    return MaskRecord(
-        mask=mask_from_rle(obj["rle"]),
-        image_id=obj["image_id"],
-        label=obj.get("label"),
-    )
-
-
 def write_records(records, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for record in records:
             fh.write(record_to_json(record) + "\n")
 
 
-def read_records(path) -> list[MaskRecord]:
-    records = []
-    with open(path, "r", encoding="ascii") as fh:
+def read_json_lines(path, parse, what: str) -> list:
+    """``parse`` applied to the JSON object on each non-blank line of a file.
+
+    Any error, a line that is not a JSON object included, becomes one
+    ``ValueError`` that names ``what`` and the line number.
+    """
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(record_from_json(line))
-            except (ValueError, KeyError) as exc:
-                raise ValueError(f"record error at line {lineno}: {exc}") from None
-    return records
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+                out.append(parse(obj))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{what} error at line {lineno}: {exc}") from None
+    return out
 
 
-# ---------------------------------------------------------------------------
-# Area-ratio filter
-# ---------------------------------------------------------------------------
-
-
-def area_ratio_filter(
-    records: list[MaskRecord],
-    image_area_by_id: dict[str, int],
-    min_ratio: float,
-) -> tuple[list[MaskRecord], list[MaskRecord]]:
-    """Partition records into (kept, dropped) by mask-area / image-area >= min_ratio.
-
-    Input order is preserved in both outputs.
-    """
-    if not 0.0 <= min_ratio <= 1.0:
-        raise ValueError("min_ratio must be within [0, 1]")
-    kept, dropped = [], []
-    for record in records:
-        if record.image_id not in image_area_by_id:
-            raise KeyError(f"no image area for image_id {record.image_id!r}")
-        area = image_area_by_id[record.image_id]
-        if record.mask.area() / area >= min_ratio:
-            kept.append(record)
-        else:
-            dropped.append(record)
-    return kept, dropped
+def read_records(path) -> list[MaskRecord]:
+    return read_json_lines(
+        path,
+        lambda obj: MaskRecord(mask=mask_from_rle(obj["rle"]), image_id=obj["image_id"], label=obj.get("label")),
+        "record",
+    )

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .maskio import read_json_lines
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
@@ -156,17 +158,13 @@ def evaluate(pairs, provider) -> EvalReport:
     )
 
 
+def _prediction(obj: dict) -> tuple[str, str]:
+    pred, gold = obj["pred"], obj["gold"]
+    if not isinstance(pred, str) or not isinstance(gold, str):
+        raise TypeError("pred and gold must be strings")
+    return pred, gold
+
+
 def read_predictions(path) -> list[tuple]:
     """JSON-lines {"image_id", "mask_index", "pred", "gold"} to eval pairs."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append((obj["pred"], obj["gold"]))
-            except (ValueError, KeyError) as exc:
-                raise ValueError(f"prediction error at line {lineno}: {exc}") from None
-    return out
+    return read_json_lines(path, _prediction, "prediction")

@@ -75,7 +75,7 @@ def test_exit_codes_per_subcommand(command, files, capsys):
 
 
 def test_config_sets_subcommand_options(tmp_path, capsys):
-    (tmp_path / "bench.cfg").write_text("k_values = 1\nflops_only = true\nrepeats = 1\n")
+    (tmp_path / "bench.cfg").write_text("k_values = 1\nrepeats = 0\n")
     assert run(["--config", str(tmp_path / "bench.cfg"), "bench"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [row["k"] for row in rows] == [1]
@@ -123,20 +123,78 @@ def test_config_key_that_no_option_uses_exits_2(tmp_path, capsys):
     assert run(["--config", str(tmp_path / "other.cfg"), "maskviz"]) == 0
 
 
-def test_flops_only_runs_no_timed_pass(monkeypatch, capsys):
-    # a small decoder keeps the run cheap; only the number of forwards matters
+def _small_bench_decoder(monkeypatch):
+    """A small decoder in place of the bench decoder keeps a bench run cheap."""
     monkeypatch.setattr(
         cli, "bench_decoder_params",
         lambda seed, enc_dim: decoder.DecoderParams.seeded(seed, decoder.make_vocab([]), enc_dim=enc_dim),
     )
+
+
+def test_repeats_0_runs_no_timed_pass(monkeypatch, capsys):
+    _small_bench_decoder(monkeypatch)
     calls = []
     real_forward = harness.forward
     monkeypatch.setattr(harness, "forward", lambda *a: calls.append(1) or real_forward(*a))
     assert run(["bench", "--k-values", "1,2", "--repeats", "1"]) == 0
     assert len(calls) == 2 and "wall_time_ms" in json.loads(capsys.readouterr().out)["rows"][0]
     calls.clear()
-    assert run(["bench", "--k-values", "1,2", "--flops-only"]) == 0
+    assert run(["bench", "--k-values", "1,2", "--repeats", "0"]) == 0
     assert calls == [] and "wall_time_ms" not in json.loads(capsys.readouterr().out)["rows"][0]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_bench_flops_output_is_pinned(tmp_path, monkeypatch, capsys):
+    """stdout and CSV of an untimed bench run, recorded when the run took
+    ``--flops-only`` and the cost model had its own copy of the weights' sizes."""
+    _small_bench_decoder(monkeypatch)
+    assert run(["bench", "--k-values", "1,2,4,8", "--repeats", "0", "--csv", str(tmp_path / "rows.csv")]) == 0
+    assert _digest(capsys.readouterr().out.encode()) == "a3f6832d7271f027"
+    assert _digest((tmp_path / "rows.csv").read_bytes()) == "483aae4250fbea7f"
+
+
+def _pipeline_files(d):
+    """Eight records on 32x32 rasters and an oracle table.
+
+    One 1-pixel mask falls under the area ratio; cat (3 left) and dog (2)
+    are head categories at threshold 2.  Stage 2 meets a "no", a raising
+    oracle, an unparseable answer, a "Yes." prefix and a missing entry.
+    """
+    def square(side):
+        bits = np.zeros((32, 32), bool)
+        bits[:side, :side] = True
+        return BinaryMask.from_array(bits)
+
+    records = [MaskRecord(square(8), "a", "cat"), MaskRecord(square(6), "b", "cat"),
+               MaskRecord(square(5), "c", "cat"), MaskRecord(square(7), "d", "dog"),
+               MaskRecord(square(4), "e", "dog"), MaskRecord(square(9), "a", "bird"),
+               MaskRecord(square(3), "b", None), MaskRecord(square(1), "a", "cat")]
+    write_records(records, d / "records.jsonl")
+    answers = [{"image_id": "a", "label": "cat", "answer": "no"},
+               {"image_id": "b", "label": "cat", "answer": "error"},
+               {"image_id": "c", "label": "cat", "answer": "maybe"},
+               {"image_id": "d", "label": "dog", "answer": "Yes."}]
+    (d / "answers.json").write_text(json.dumps(answers))
+    return ["pipeline", "--records", str(d / "records.jsonl"), "--head-threshold", "2"]
+
+
+@pytest.mark.parametrize(
+    "oracle, out_digest, records_digest",
+    [("always-yes", "13537e51903fe1d3", "5ecdbf089ee6418c"), ("file", "309489e16a813601", "44e6aae76b826f7a")],
+)
+def test_pipeline_output_is_pinned(oracle, out_digest, records_digest, tmp_path, capsys):
+    """stdout and ``--out-records``, recorded before the area-ratio filter
+    was folded into the pipeline."""
+    argv = _pipeline_files(tmp_path) + ["--out-records", str(tmp_path / "kept.jsonl")]
+    if oracle == "file":
+        argv += ["--oracle", f"file:{tmp_path / 'answers.json'}"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert _digest(out.encode()) == out_digest
+    assert _digest((tmp_path / "kept.jsonl").read_bytes()) == records_digest
 
 
 def test_tokenize_total_sequence_is_the_layout_length(files, capsys):
@@ -229,9 +287,49 @@ def test_zero_sizes_exit_2(case, files, capsys):
         "tokenize-grid": ["tokenize", *image, *masks, "--out-dir", str(files / "tok"), "--grid", "0"],
         "tokenize-enc-dim": ["tokenize", *image, *masks, "--out-dir", str(files / "tok"), "--enc-dim", "0"],
         "decode-enc-dim": ["decode", *image, *masks, "--enc-dim", "0"],
-        "bench-enc-dim": ["bench", "--k-values", "1", "--flops-only", "--enc-dim", "0"],
+        "bench-enc-dim": ["bench", "--k-values", "1", "--repeats", "0", "--enc-dim", "0"],
         "decode-zero-heads": ["decode", *image, *masks, *_small_dec0(files, lambda b: b[:6] + bytes(1) + b[7:])],
     }[case]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and ">= 1" in err and err.count("\n") == 1
+
+
+def _assert_one_line_input_error(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert all(word in err for word in words), err
+
+
+@pytest.mark.parametrize("k_values", [",", "0", "4,1"])
+def test_bad_k_values_exit_2_and_name_k_values(k_values, capsys):
+    assert run(["bench", "--k-values", k_values, "--repeats", "0"]) == 2
+    _assert_one_line_input_error(capsys, "k_values")
+
+
+def test_flops_only_is_gone(tmp_path, capsys):
+    assert run(["bench", "--k-values", "1", "--flops-only"]) == 2
+    capsys.readouterr()
+    (tmp_path / "bench.cfg").write_text("k_values = 1\nflops_only = true\n")
+    assert run(["--config", str(tmp_path / "bench.cfg"), "bench"]) == 2
+    _assert_one_line_input_error(capsys, "'flops_only'")
+
+
+def test_a_records_line_that_is_not_an_object_exits_2(files, capsys):
+    (files / "list.jsonl").write_text((files / "masks.jsonl").read_text() + "[1]\n")
+    assert run(["pipeline", "--records", str(files / "list.jsonl")]) == 2
+    _assert_one_line_input_error(capsys, "line 3", "JSON object")
+
+
+@pytest.mark.parametrize("line", ['[1]', '{"pred": 5, "gold": "cat"}', '{"pred": "cat", "gold": null}'])
+def test_a_bad_prediction_line_exits_2(line, files, capsys):
+    (files / "odd.jsonl").write_text(line + "\n")
+    assert run(["eval", "--pred", str(files / "odd.jsonl")]) == 2
+    _assert_one_line_input_error(capsys, "prediction error at line 1")
+
+
+def test_an_oracle_file_that_is_not_a_list_of_objects_exits_2(files, capsys):
+    for table in ({"a": 1}, [1], ["a"]):
+        (files / "oracle.json").write_text(json.dumps(table))
+        assert run(["pipeline", "--records", str(files / "masks.jsonl"), "--oracle", f"file:{files / 'oracle.json'}"]) == 2
+        _assert_one_line_input_error(capsys, "oracle file")

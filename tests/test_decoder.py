@@ -333,3 +333,11 @@ def test_decode_rejects_max_label_len_below_one(bad, params, rng):
     batch = random_batch(rng, [2, 1])
     with pytest.raises(ValueError, match="max_label_len"):
         decode_objects(batch, [params.token_id("<start>")], params, max_label_len=bad)
+
+
+def test_decode_reads_text_ids_once(params, rng):
+    batch = random_batch(rng, [2, 1])
+    text_ids = [params.token_id("<start>"), params.token_id("w0")]
+    from_list = decode_objects(batch, text_ids, params, max_label_len=3)
+    from_iter = decode_objects(batch, iter(text_ids), params, max_label_len=3)
+    assert from_iter.to_json() == from_list.to_json()

@@ -7,7 +7,6 @@ from regionrec.maskio import (
     BinaryMask,
     MaskRecord,
     RasterImage,
-    area_ratio_filter,
     mask_from_rle,
     mask_to_rle,
     read_pgm,
@@ -107,44 +106,6 @@ def test_rle_round_trip_fuzz(rng):
 def test_empty_mask_rejected():
     with pytest.raises(ValueError, match="true bits"):
         BinaryMask.from_array(np.zeros((3, 3), dtype=bool))
-
-
-def _record(n_true: int, image_id: str = "img", label: str | None = "cat") -> MaskRecord:
-    bits = np.zeros(100, dtype=bool)
-    bits[:n_true] = True
-    return MaskRecord(mask=BinaryMask.from_array(bits.reshape(10, 10)), image_id=image_id, label=label)
-
-
-def test_area_filter_boundary_kept_by_geq():
-    kept, dropped = area_ratio_filter([_record(100)], {"img": 10000}, 0.01)
-    assert len(kept) == 1 and not dropped
-
-
-def test_area_filter_strict_inequality_drops():
-    kept, dropped = area_ratio_filter([_record(99)], {"img": 10000}, 0.01)
-    assert not kept and len(dropped) == 1
-
-
-def test_area_filter_zero_ratio_keeps_everything(rng):
-    records = [_record(int(rng.integers(1, 100))) for _ in range(20)]
-    kept, dropped = area_ratio_filter(records, {"img": 10**6}, 0.0)
-    assert kept == records and not dropped
-
-
-def test_area_filter_partitions_and_preserves_order(rng):
-    records = [_record(int(rng.integers(1, 100)), image_id=f"i{j}") for j in range(30)]
-    areas = {f"i{j}": 500 for j in range(30)}
-    kept, dropped = area_ratio_filter(records, areas, 0.1)
-    assert len(kept) + len(dropped) == len(records)
-    assert [r for r in records if r in kept or r in dropped] == records
-    # order preserved within each part
-    assert kept == [r for r in records if r.mask.area() / 500 >= 0.1]
-    assert dropped == [r for r in records if r.mask.area() / 500 < 0.1]
-
-
-def test_area_filter_missing_id_is_key_error():
-    with pytest.raises(KeyError, match="missing"):
-        area_ratio_filter([_record(5, image_id="missing")], {"img": 100}, 0.5)
 
 
 def test_records_jsonl_round_trip(tmp_path, rng):
