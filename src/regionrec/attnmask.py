@@ -123,32 +123,19 @@ def parse_layout_header(header: str) -> SequenceLayout:
     return SequenceLayout(tuple(segments))
 
 
-def canonical_layout(
-    image_len: int,
-    text_len: int,
-    mask_lens: list[int],
-    output_lens,
-) -> SequenceLayout:
-    """The decode-time layout: image, text, each mask followed by one
-    separator, then the output chunks.
-
-    ``output_lens`` may be one int (same slot count per object) or a list.
-    """
+def canonical_layout(image_len: int, text_len: int, mask_lens: list[int], output_slots: int) -> SequenceLayout:
+    """The decode-time layout: image, text (left out when ``text_len`` is 0),
+    each mask followed by one separator, then one chunk of ``output_slots``
+    slots per object."""
     if text_len < 0:
         raise ValueError(f"text length must be >= 0, got {text_len}")
-    k = len(mask_lens)
-    if isinstance(output_lens, int):
-        output_lens = [output_lens] * k
-    if len(output_lens) != k:
-        raise ValueError("output_lens must match the number of masks")
     segments = [Segment(IMAGE, image_len)]
     if text_len > 0:
         segments.append(Segment(TEXT, text_len))
     for i, m in enumerate(mask_lens):
         segments.append(Segment(MASK, m, i))
         segments.append(Segment(SEP, 1))
-    for i, o in enumerate(output_lens):
-        segments.append(Segment(OUT, o, i))
+    segments.extend(Segment(OUT, output_slots, i) for i in range(len(mask_lens)))
     return SequenceLayout(tuple(segments))
 
 

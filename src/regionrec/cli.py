@@ -1,9 +1,12 @@
 """Command-line surface: tokenize, maskviz, decode, eval, bench, pipeline.
 
-All outputs are machine-readable JSON (``--pretty`` indents them); every
-subcommand is deterministic under a fixed ``--seed``.  The seed falls back
-to the ``WOW_SEED`` environment variable, and a ``--config`` file of
-``key = value`` lines supplies defaults that explicit flags override.
+Outputs are machine-readable: ``maskviz`` dumps the mask of ``--layout``
+(default ``FIG4_PRESET``) as ASCII, every other subcommand prints JSON
+(``--pretty`` indents it).  ``tokenize`` and ``decode`` reject more masks
+than ``--max-masks`` and ``prompt.MAX_MASKS``.  Every subcommand is
+deterministic under a fixed ``--seed``, which falls back to the
+``WOW_SEED`` environment variable; a ``--config`` file of ``key = value``
+lines supplies defaults that explicit flags override.
 
 Exit codes: 0 success, 2 input error (single-line diagnostic on stderr),
 3 internal invariant violation.
@@ -66,20 +69,19 @@ def _read_config(path: str) -> dict:
     return values
 
 
+def _read_masks(path, max_masks: int) -> list:
+    """The masks of a records file, at most ``max_masks`` of them."""
+    records = maskio.read_records(path)
+    if len(records) > max_masks:
+        raise ValueError(f"capacity error: {len(records)} masks exceeds max_masks={max_masks}")
+    return [r.mask for r in records]
+
+
 def _cmd_tokenize(args) -> int:
     image = maskio.read_pgm(args.image)
-    records = maskio.read_records(args.masks)
-    if len(records) > args.max_masks:
-        raise ValueError(f"capacity error: {len(records)} masks exceeds max_masks={args.max_masks}")
+    masks = _read_masks(args.masks, args.max_masks)
     params = EncoderParams.seeded(args.seed, dim=args.enc_dim)
-    batch = build_prompt_batch(
-        image,
-        [r.mask for r in records],
-        params,
-        scale=args.scale,
-        max_masks=args.max_masks,
-        grid=args.grid,
-    )
+    batch = build_prompt_batch(image, masks, params, scale=args.scale, grid=args.grid)
     image_len = batch.image_tokens.rows * batch.image_tokens.cols
     counts = [ts.count for ts in batch.mask_token_sets]
     layout = canonical_layout(image_len, args.text_len, counts, OUTPUT_SLOTS)
@@ -103,12 +105,7 @@ def _cmd_tokenize(args) -> int:
 
 
 def _cmd_maskviz(args) -> int:
-    if args.layout:
-        layout = attnmask.parse_layout_header(args.layout)
-    elif args.preset == "fig4":
-        layout = attnmask.parse_layout_header(FIG4_PRESET)
-    else:
-        raise ValueError(f"unknown preset {args.preset!r}")
+    layout = attnmask.parse_layout_header(args.layout)
     config = _VARIANTS[args.variant]()
     mask = build_cascade_mask(layout, config)
     _emit(args, dump_attention_mask(mask, layout))
@@ -119,9 +116,9 @@ def _cmd_decode(args) -> int:
     if bool(args.params) != bool(args.vocab):
         raise ValueError("--params and --vocab must be given together")
     image = maskio.read_pgm(args.image)
-    records = maskio.read_records(args.masks)
+    masks = _read_masks(args.masks, prompt.MAX_MASKS)
     enc = EncoderParams.seeded(args.seed, dim=args.enc_dim)
-    batch = build_prompt_batch(image, [r.mask for r in records], enc, scale=args.scale)
+    batch = build_prompt_batch(image, masks, enc, scale=args.scale)
     if args.params:
         params = decoder.load_decoder_params(args.params, args.vocab)
     else:
@@ -144,6 +141,8 @@ def _cmd_eval(args) -> int:
     provider = metrics.TrigramHashProvider(dim=args.provider_dim)
     if args.vocab_file:
         vocabulary = [ln.strip() for ln in Path(args.vocab_file).read_text().splitlines() if ln.strip()]
+        if not vocabulary:
+            raise ValueError(f"vocabulary file {args.vocab_file} holds no entry")
         pairs = [(p, g, vocabulary) for p, g in pairs]
     report = metrics.evaluate(pairs, provider)
     _emit(args, report.to_json())
@@ -169,11 +168,13 @@ def _cmd_pipeline(args) -> int:
         oracle = ScriptedOracle({})
     elif args.oracle.startswith("file:"):
         table = json.loads(Path(args.oracle[5:]).read_text())
-        if not isinstance(table, list) or not all(isinstance(row, dict) for row in table):
+        if not isinstance(table, list):
             raise ValueError("oracle file must hold a JSON list of objects")
-        oracle = ScriptedOracle(
-            {(row["image_id"], row.get("label", "")): row["answer"] for row in table}
-        )
+        keys = ("image_id", "label", "answer")
+        for i, row in enumerate(table, start=1):
+            if not isinstance(row, dict) or not all(isinstance(row.get(key), str) for key in keys):
+                raise ValueError(f"oracle file row {i} must be an object with string image_id, label and answer")
+        oracle = ScriptedOracle({(row["image_id"], row["label"]): row["answer"] for row in table})
     else:
         raise ValueError(f"unknown oracle {args.oracle!r} (use always-yes or file:PATH)")
     report = run_filter_pipeline(
@@ -208,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tokenize)
 
     p = sub.add_parser("maskviz", help="render a cascade attention mask as ASCII")
-    p.add_argument("--preset", default="fig4")
-    p.add_argument("--layout", help="layout header, e.g. 'image:2 text:1 mask0:2 sep:1 out0:1'")
+    p.add_argument("--layout", default=FIG4_PRESET, help="layout header (default %(default)r)")
     p.add_argument("--variant", choices=sorted(_VARIANTS), default="cascade")
     p.set_defaults(func=_cmd_maskviz)
 

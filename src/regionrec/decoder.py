@@ -89,7 +89,6 @@ class DecoderParams:
     dim: int
     heads: int
     layers: int
-    positional_mode: str
     max_len: int
     enc_dim: int
     embed: np.ndarray = field(repr=False)
@@ -106,8 +105,6 @@ class DecoderParams:
                 raise ValueError(f"decoder {name} must be >= 1, got {getattr(self, name)}")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
-        if self.positional_mode not in ("absolute", "none"):
-            raise ValueError("positional_mode must be 'absolute' or 'none'")
         for special in SPECIALS:
             if special not in self.vocab:
                 raise ValueError(f"config error: vocabulary missing special {special!r}")
@@ -139,7 +136,6 @@ class DecoderParams:
         heads: int = 2,
         layers: int = 2,
         enc_dim: int = 16,
-        positional_mode: str = "absolute",
         max_len: int = 2048,
     ) -> "DecoderParams":
         vocab = tuple(vocab)
@@ -150,10 +146,10 @@ class DecoderParams:
                 return quantized_uniform(rng, fan_in, shape)
             return np.ones(shape) if name.endswith("_g") else np.zeros(shape)
 
-        layout = _weight_layout(len(vocab), dim, layers, enc_dim, positional_mode, max_len)
+        layout = _weight_layout(len(vocab), dim, layers, enc_dim, max_len)
         tensors = {name: draw(name, shape, fan_in) for name, shape, fan_in in layout}
         return cls._from_tensors(tensors, vocab=vocab, dim=dim, heads=heads, layers=layers,
-                                 positional_mode=positional_mode, max_len=max_len, enc_dim=enc_dim)
+                                 max_len=max_len, enc_dim=enc_dim)
 
     @classmethod
     def _from_tensors(cls, tensors: dict, **header) -> "DecoderParams":
@@ -162,11 +158,10 @@ class DecoderParams:
             LayerWeights(**{f.name: tensors.pop(f"blocks.{i}.{f.name}") for f in fields(LayerWeights)})
             for i in range(header["layers"])
         )
-        tensors.setdefault("pos", np.zeros((0, header["dim"])))
         return cls(**header, blocks=blocks, **tensors)
 
 
-def _weight_layout(v: int, dim: int, layers: int, enc_dim: int, positional_mode: str, max_len: int):
+def _weight_layout(v: int, dim: int, layers: int, enc_dim: int, max_len: int):
     """Every weight tensor as ``(name, shape, fan_in)``, in draw order, which
     is also the DEC0 file order.  Layer tensors are named ``blocks.<i>.<field>``.
     ``fan_in`` None marks a layernorm tensor, which is not drawn: scales
@@ -177,7 +172,7 @@ def _weight_layout(v: int, dim: int, layers: int, enc_dim: int, positional_mode:
              ("w1", (dim, d4), dim), ("w2", (d4, dim), d4)]
     return [
         ("embed", (v, dim), dim),
-        *([("pos", (max_len, dim), dim)] if positional_mode == "absolute" else []),
+        ("pos", (max_len, dim), dim),
         ("adapter", (enc_dim, dim), enc_dim),
         *((f"blocks.{i}.{name}", shape, fan_in) for i in range(layers) for name, shape, fan_in in layer),
         ("ln_f_g", (dim,), None),
@@ -196,14 +191,14 @@ class TokenSequence:
 
     ids: np.ndarray = field(repr=False)
     injected: np.ndarray = field(repr=False)
-    layout: SequenceLayout = None
+    layout: SequenceLayout
 
     def __post_init__(self):
         ids = np.asarray(self.ids, dtype=np.int64).copy()
         injected = np.asarray(self.injected, dtype=np.float64).copy()
         if injected.ndim != 2 or injected.shape[0] != ids.shape[0]:
             raise ValueError("injected must be (n, enc_dim) aligned with ids")
-        if self.layout is not None and self.layout.n != ids.shape[0]:
+        if self.layout.n != ids.shape[0]:
             raise ValueError("sequence length does not match layout")
         ids.flags.writeable = False
         injected.flags.writeable = False
@@ -320,9 +315,9 @@ def _attention(x_norm: np.ndarray, block: LayerWeights, heads: int, attn_blocks)
 
 
 def embed_sequence(seq: TokenSequence, params: DecoderParams) -> np.ndarray:
-    """Vocab embeddings and adapter-projected injections, plus positions."""
+    """Vocab embeddings and adapter-projected injections, plus absolute positions."""
     n = seq.n
-    if n > params.max_len and params.positional_mode == "absolute":
+    if n > params.max_len:
         raise ValueError(f"sequence length {n} exceeds max_len {params.max_len}")
     ids = seq.ids
     if ids.max(initial=-1) >= len(params.vocab):
@@ -332,17 +327,13 @@ def embed_sequence(seq: TokenSequence, params: DecoderParams) -> np.ndarray:
     x[id_rows] = params.embed[ids[id_rows]]
     if (~id_rows).any():
         x[~id_rows] = seq.injected[~id_rows] @ params.adapter
-    if params.positional_mode == "absolute":
-        x = x + params.pos[:n]
-    return x
+    return x + params.pos[:n]
 
 
 def forward(seq: TokenSequence, mask: AttentionMaskMatrix, params: DecoderParams) -> np.ndarray:
     """Per-position logits under the given visibility mask."""
     if seq.n != mask.n:
         raise ValueError(f"shape error: sequence length {seq.n} != mask size {mask.n}")
-    if seq.layout is None:
-        raise ValueError("sequence must carry its layout")
     if not np.isfinite(seq.injected).all():
         raise ValueError("numeric error: non-finite injected values")
     x = embed_sequence(seq, params)
@@ -527,8 +518,6 @@ def teacher_forced_loss(
     chunk's filled part must end with the end token.
     """
     layout = seq.layout
-    if layout is None:
-        raise ValueError("sequence must carry its layout")
     pairs: list[tuple[int, int]] = []
     for i in range(layout.num_objects):
         slots, rows = _chunk_rows(layout, i)
@@ -553,7 +542,7 @@ def teacher_forced_loss(
 # ---------------------------------------------------------------------------
 # Serialisation: 8-byte core header (magic "DEC0", u16 dim, u8 heads,
 # u8 layers), a 16-byte extension (u32 vocab size, u32 max_len, u32 enc_dim,
-# u32 flags bit0 = absolute positions), then the ``_weight_layout`` tensors
+# u32 flags, always 1: absolute positions), then the ``_weight_layout`` tensors
 # as little-endian float32, in order.  The vocabulary ships as a JSON array
 # alongside.
 # ---------------------------------------------------------------------------
@@ -568,14 +557,11 @@ def _tensor(params: DecoderParams, name: str) -> np.ndarray:
 
 
 def save_decoder_params(params: DecoderParams, blob_path, vocab_path) -> None:
-    layout = _weight_layout(
-        len(params.vocab), params.dim, params.layers, params.enc_dim, params.positional_mode, params.max_len
-    )
+    layout = _weight_layout(len(params.vocab), params.dim, params.layers, params.enc_dim, params.max_len)
     with open(blob_path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<HBB", params.dim, params.heads, params.layers))
-        flags = 1 if params.positional_mode == "absolute" else 0
-        fh.write(struct.pack("<IIII", len(params.vocab), params.max_len, params.enc_dim, flags))
+        fh.write(struct.pack("<IIII", len(params.vocab), params.max_len, params.enc_dim, 1))
         for name, _, _ in layout:
             fh.write(np.asarray(_tensor(params, name)).astype("<f4").tobytes())
     with open(vocab_path, "w", encoding="ascii") as fh:
@@ -596,8 +582,9 @@ def load_decoder_params(blob_path, vocab_path) -> DecoderParams:
     vocab_size, max_len, enc_dim, flags = struct.unpack("<IIII", blob[8:_HEADER_BYTES])
     if vocab_size != len(vocab):
         raise ValueError("vocab size does not match blob header")
-    positional_mode = "absolute" if flags & 1 else "none"
-    layout = _weight_layout(vocab_size, dim, layers, enc_dim, positional_mode, max_len)
+    if flags != 1:
+        raise ValueError(f"decoder blob flags {flags}, expected 1 (absolute positions)")
+    layout = _weight_layout(vocab_size, dim, layers, enc_dim, max_len)
     sizes = [int(np.prod(shape)) for _, shape, _ in layout]
     if 4 * sum(sizes) != len(blob) - _HEADER_BYTES:
         raise ValueError(
@@ -607,4 +594,4 @@ def load_decoder_params(blob_path, vocab_path) -> DecoderParams:
     chunks = np.split(data, np.cumsum(sizes)[:-1])
     tensors = {name: chunk.reshape(shape) for (name, shape, _), chunk in zip(layout, chunks)}
     return DecoderParams._from_tensors(tensors, vocab=vocab, dim=dim, heads=heads, layers=layers,
-                                       positional_mode=positional_mode, max_len=max_len, enc_dim=enc_dim)
+                                       max_len=max_len, enc_dim=enc_dim)

@@ -70,12 +70,10 @@ class EncoderParams:
         object.__setattr__(self, "projection", proj)
 
     @classmethod
-    def seeded(
-        cls, seed: int, patch_side: int = PATCH_SIDE, dim: int = 16, channels: int = 1
-    ) -> "EncoderParams":
-        fan_in = patch_side * patch_side * channels
+    def seeded(cls, seed: int, patch_side: int = PATCH_SIDE, dim: int = 16) -> "EncoderParams":
+        fan_in = patch_side * patch_side
         proj = quantized_uniform(Xoshiro256StarStar(seed), fan_in, (fan_in, dim))
-        return cls(patch_side=patch_side, dim=dim, channels=channels, projection=proj)
+        return cls(patch_side=patch_side, dim=dim, channels=1, projection=proj)
 
 
 def encode(image: RasterImage, params: EncoderParams) -> FeatureGrid:

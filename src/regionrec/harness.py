@@ -87,7 +87,6 @@ def bench_decoder_params(seed: int = 7, enc_dim: int = 16) -> DecoderParams:
         heads=BENCH_DEC_HEADS,
         layers=BENCH_DEC_LAYERS,
         enc_dim=enc_dim,
-        positional_mode="absolute",
         max_len=4096,
     )
 
@@ -222,7 +221,7 @@ def run_scaling_bench(
     def one_pass(k: int):
         """Layout and cascade mask of the first k masks' prompt, and the
         (encoder, decoder) FLOPs of one pass over them."""
-        batch = build_prompt_batch(image, masks[:k], enc_params, max_masks=k)
+        batch = build_prompt_batch(image, masks[:k], enc_params)
         mask_lens = [ts.count for ts in batch.mask_token_sets]
         layout = canonical_layout(
             batch.image_tokens.rows * batch.image_tokens.cols, text_len, mask_lens, OUTPUT_SLOTS
@@ -239,7 +238,7 @@ def run_scaling_bench(
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            b = build_prompt_batch(image, masks[:k], enc_params, max_masks=k)
+            b = build_prompt_batch(image, masks[:k], enc_params)
             seq = assemble_sequence(
                 layout,
                 dec_params,
@@ -281,14 +280,23 @@ class ScriptedOracle:
 class PipelineReport:
     input_count: int
     stage1_kept: int
-    stage1_dropped: int
     head_categories: tuple[str, ...]
     stage2_queried: int
     stage2_dropped: int
-    flagged: int
-    final_kept: int
     kept_records: tuple[MaskRecord, ...] = field(repr=False)
     flagged_records: tuple[MaskRecord, ...] = field(repr=False)
+
+    @property
+    def stage1_dropped(self) -> int:
+        return self.input_count - self.stage1_kept
+
+    @property
+    def flagged(self) -> int:
+        return len(self.flagged_records)
+
+    @property
+    def final_kept(self) -> int:
+        return len(self.kept_records)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -363,12 +371,9 @@ def run_filter_pipeline(
     return PipelineReport(
         input_count=len(records),
         stage1_kept=len(kept),
-        stage1_dropped=len(records) - len(kept),
         head_categories=tuple(sorted(head)),
         stage2_queried=queried,
         stage2_dropped=stage2_dropped,
-        flagged=len(flagged),
-        final_kept=len(final),
         kept_records=tuple(final),
         flagged_records=tuple(flagged),
     )

@@ -2,7 +2,7 @@
 
 File formats:
 
-* PGM ``P5`` (binary) and ``P2`` (ASCII), maxval <= 255.
+* PGM ``P5`` (binary) and ``P2`` (ASCII), maxval <= 255; written as P5.
 * Uncompressed run-length JSON ``{"size": [h, w], "counts": [...]}`` in
   column-major order, first run counting false pixels.
 * Mask record collections as JSON lines, one object per line:
@@ -56,8 +56,8 @@ class RasterImage:
         h, w, c = arr.shape
         return cls(width=w, height=h, channels=c, data=arr)
 
-    def plane(self, c: int = 0) -> np.ndarray:
-        return self.data[:, :, c]
+    def plane(self) -> np.ndarray:
+        return self.data[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -191,19 +191,14 @@ def read_pgm(path) -> RasterImage:
     return RasterImage(width=width, height=height, channels=1, data=arr.reshape(height, width, 1))
 
 
-def write_pgm(image: RasterImage, path, binary: bool = True) -> None:
-    """Write a single-channel image as P5 (default) or P2."""
+def write_pgm(image: RasterImage, path) -> None:
+    """Write a single-channel image as P5."""
     if image.channels != 1:
         raise ValueError("pgm supports single-channel images only")
     vals = np.clip(np.rint(image.plane()), 0, 255).astype(np.uint8)
-    header = f"{'P5' if binary else 'P2'}\n{image.width} {image.height}\n255\n"
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if binary:
-            fh.write(vals.tobytes())
-        else:
-            fh.write("\n".join(" ".join(str(v) for v in row) for row in vals).encode("ascii"))
-            fh.write(b"\n")
+        fh.write(f"P5\n{image.width} {image.height}\n255\n".encode("ascii"))
+        fh.write(vals.tobytes())
 
 
 # ---------------------------------------------------------------------------

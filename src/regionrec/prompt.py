@@ -114,7 +114,6 @@ def build_prompt_batch(
     masks: list[BinaryMask],
     params: EncoderParams,
     scale: float = CONTEXT_SCALE,
-    max_masks: int = MAX_MASKS,
     grid: int = GRID_SIDE,
 ) -> PromptBatch:
     """Encode the global image once and every mask independently, in order.
@@ -123,9 +122,6 @@ def build_prompt_batch(
     """
     if not masks:
         raise ValueError("need at least one mask")
-    if len(masks) > max_masks:
-        raise ValueError(f"capacity error: {len(masks)} masks exceeds max_masks={max_masks}")
-
     image_tokens = encode_global(image, params, grid)
     sets = tuple(
         mask2token(image, m, params, scale=scale, grid=grid, mask_index=i)

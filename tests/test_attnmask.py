@@ -108,7 +108,8 @@ def test_incremental_batch_equivalence_random_schedules(rng, config):
                 fill[owner] += 1
             dead = np.concatenate([fixed.positions("out", i)[fill[i]:] for i in range(k)])
             live = np.setdiff1d(np.arange(fixed.n), dead)
-            grown = canonical_layout(*prefix, fill)
+            grown = SequenceLayout(tuple(Segment(seg.kind, fill[seg.index], seg.index) if seg.kind == "out" else seg
+                                         for seg in fixed.segments))
             cut = mask.without(dead).bits
             assert not cut[dead].any() and not cut[:, dead].any()
             assert np.array_equal(cut[np.ix_(live, live)], oracle_cascade_bits(grown, config))

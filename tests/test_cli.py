@@ -1,10 +1,12 @@
-"""Command line: exit codes per subcommand, config defaults, ``--pretty``
-placement, the pinned ``maskviz`` and ``decode`` outputs and the rejected
-inputs."""
+"""Command line: its options, exit codes per subcommand, config defaults,
+``--pretty`` placement, the pinned outputs of every subcommand but ``eval``
+and the rejected inputs."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -61,6 +63,27 @@ def _subcommand_cases(d) -> dict:
         "pipeline": (["pipeline", "--records", str(d / "masks.jsonl")],
                      ["pipeline", "--records", str(d / "masks.jsonl"), "--oracle", "ask-someone"]),
     }
+
+
+# every option string per parser; adding or dropping a flag edits this table
+_OPTIONS = {
+    "regionrec": "--config --pretty --seed",
+    "tokenize": "--enc-dim --grid --image --masks --max-masks --out-dir --pretty --scale --text-len",
+    "maskviz": "--layout --pretty --variant",
+    "decode": "--enc-dim --image --masks --max-label-len --params --pretty --scale --text --variant --vocab",
+    "eval": "--pred --pretty --provider-dim --vocab-file",
+    "bench": "--csv --enc-dim --k-values --pretty --repeats --text-len",
+    "pipeline": "--head-threshold --min-ratio --oracle --out-records --pretty --records",
+}
+
+
+def test_the_option_strings_are_pinned():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = {"regionrec": parser, **sub.choices}
+    got = {name: " ".join(sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")))
+           for name, p in parsers.items()}
+    assert got == _OPTIONS
 
 
 @pytest.mark.parametrize("command", ["tokenize", "maskviz", "decode", "eval", "bench", "pipeline"])
@@ -209,6 +232,18 @@ def test_tokenize_total_sequence_is_the_layout_length(files, capsys):
     assert "text length" in capsys.readouterr().err
 
 
+def test_tokenize_output_is_pinned(files, capsys):
+    """stdout and every file written to ``--out-dir``."""
+    out_dir = files / "tok"
+    assert run(["tokenize", "--image", str(files / "img.pgm"), "--masks", str(files / "masks.jsonl"),
+                "--out-dir", str(out_dir)]) == 0
+    assert _digest(capsys.readouterr().out.encode()) == "2e1e6bb3158d1925"
+    assert {p.name: _digest(p.read_bytes()) for p in out_dir.iterdir()} == {
+        "mask_000.f32": "1b227ff772b72140", "mask_000.json": "ca646291bd92d190",
+        "mask_001.f32": "b306db84bfc81f33", "mask_001.json": "b9bfb8fcc879fb0b",
+    }
+
+
 def test_decode_rejects_half_a_weights_pair(files, capsys):
     argv = ["decode", "--image", str(files / "img.pgm"), "--masks", str(files / "masks.jsonl")]
     assert run(argv + ["--params", str(files / "nope.bin")]) == 2
@@ -228,16 +263,19 @@ def test_decoder_params_file_round_trip(files, monkeypatch, capsys):
     assert run(argv) == 0
     seeded = capsys.readouterr().out
     decoder.save_decoder_params(used[0], files / "dec.bin", files / "vocab.json")
+    assert _digest((files / "dec.bin").read_bytes()) == "53779dccfe354d16"
     assert run(argv + ["--params", str(files / "dec.bin"), "--vocab", str(files / "vocab.json")]) == 0
     assert capsys.readouterr().out == seeded
 
 
 @pytest.mark.parametrize(
-    "variant, digest", [("cascade", "fb2b539d3bf08126"), ("output", "40e9ecf2bb24efe4")]
+    "variant, digest",
+    [("cascade", "fb2b539d3bf08126"), ("output", "40e9ecf2bb24efe4"),
+     ("region", "bd63eebb039662f5"), ("causal", "7e9f6f63c58b1f76")],
 )
 def test_decode_output_is_pinned(variant, digest, files, capsys):
-    """Under these two configs no output chunk sees another, so the output
-    does not depend on the order in which the objects are decoded."""
+    """Objects decode one after another; under cascade and output no chunk
+    sees another, so those two would not change under any other order."""
     assert run(["decode", "--image", str(files / "img.pgm"), "--masks", str(files / "masks.jsonl"),
                 "--variant", variant]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
@@ -263,6 +301,26 @@ def test_decoder_blob_of_the_wrong_size_exits_2(edit, files, capsys):
     assert run(argv + _small_dec0(files, edit)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "size mismatch" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [0, 2, 3])
+def test_decoder_blob_flags_other_than_1_exit_2(flags, files, capsys):
+    """Positions are always absolute: DEC0 flags 1, the only layout."""
+    argv = ["decode", "--image", str(files / "img.pgm"), "--masks", str(files / "masks.jsonl")]
+    assert run(argv + _small_dec0(files, lambda b: b[:20] + struct.pack("<I", flags) + b[24:])) == 2
+    _assert_one_line_input_error(capsys, f"flags {flags}")
+
+
+def test_capacity_error_names_limit(files, capsys):
+    """The mask cap is checked on the records, before any encoding."""
+    image, out_dir = ["--image", str(files / "img.pgm")], ["--out-dir", str(files / "tok")]
+    assert run(["tokenize", *image, "--masks", str(files / "masks.jsonl"), *out_dir, "--max-masks", "1"]) == 2
+    _assert_one_line_input_error(capsys, "capacity error", "2 masks", "max_masks=1")
+    assert not (files / "tok").exists()
+    many = [MaskRecord(BinaryMask.from_array(np.eye(32, dtype=bool)), "img", None)] * (prompt.MAX_MASKS + 1)
+    write_records(many, files / "many.jsonl")
+    assert run(["decode", *image, "--masks", str(files / "many.jsonl")]) == 2
+    _assert_one_line_input_error(capsys, "capacity error", "31 masks", "max_masks=30")
 
 
 @pytest.mark.parametrize(
@@ -333,3 +391,22 @@ def test_an_oracle_file_that_is_not_a_list_of_objects_exits_2(files, capsys):
         (files / "oracle.json").write_text(json.dumps(table))
         assert run(["pipeline", "--records", str(files / "masks.jsonl"), "--oracle", f"file:{files / 'oracle.json'}"]) == 2
         _assert_one_line_input_error(capsys, "oracle file")
+
+
+@pytest.mark.parametrize(
+    "row",
+    [{"image_id": "a", "label": "cat", "answer": 5}, {"image_id": "a", "answer": "no"},
+     {"label": "cat", "answer": "no"}, {"image_id": 1, "label": "cat", "answer": "no"}],
+    ids=["answer-not-a-string", "no-label", "no-image-id", "image-id-not-a-string"],
+)
+def test_a_malformed_oracle_row_exits_2(row, files, capsys):
+    (files / "oracle.json").write_text(json.dumps([{"image_id": "img", "label": "dog", "answer": "yes"}, row]))
+    argv = ["pipeline", "--records", str(files / "masks.jsonl"), "--head-threshold", "1"]
+    assert run(argv + ["--oracle", f"file:{files / 'oracle.json'}"]) == 2
+    _assert_one_line_input_error(capsys, "oracle file", "row 2")
+
+
+def test_an_empty_vocab_file_exits_2(files, capsys):
+    (files / "vocab.txt").write_text("\n  \n")
+    assert run(["eval", "--pred", str(files / "pred.jsonl"), "--vocab-file", str(files / "vocab.txt")]) == 2
+    _assert_one_line_input_error(capsys, "vocab.txt")

@@ -66,13 +66,6 @@ def test_batch_singleton_equals_mask2token(rng):
     assert np.array_equal(batch.mask_token_sets[0].tokens, solo.tokens)
 
 
-def test_capacity_error_names_limit(rng):
-    img = _image(rng)
-    masks = [random_mask(rng, 64, 64, p=0.1) for _ in range(31)]
-    with pytest.raises(ValueError, match="max_masks=30"):
-        build_prompt_batch(img, masks, ENC)
-
-
 def test_permuted_masks_permute_token_sets_bit_identically(rng):
     img = _image(rng)
     masks = [random_mask(rng, 64, 64, p=0.1) for _ in range(4)]
