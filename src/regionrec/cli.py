@@ -3,10 +3,8 @@
 Outputs are machine-readable: ``maskviz`` dumps the mask of ``--layout``
 (default ``FIG4_PRESET``) as ASCII, every other subcommand prints JSON
 (``--pretty`` indents it).  ``tokenize`` and ``decode`` reject more masks
-than ``--max-masks`` and ``prompt.MAX_MASKS``.  Every subcommand is
-deterministic under a fixed ``--seed``, which falls back to the
-``WOW_SEED`` environment variable; a ``--config`` file of ``key = value``
-lines supplies defaults that explicit flags override.
+than ``prompt.MAX_MASKS``.  Every subcommand is deterministic under a fixed
+``--seed`` (default 0).  Flags are the only way to set a value.
 
 Exit codes: 0 success, 2 input error (single-line diagnostic on stderr),
 3 internal invariant violation.
@@ -16,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -47,41 +44,19 @@ def _emit(args, text: str) -> None:
         out.write("\n")
 
 
-def _coerce(value: str):
-    """Booleans for the on/off flags; everything else stays a string, which
-    argparse converts with the option's own ``type`` like a typed flag."""
-    lowered = value.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    return value
-
-
-def _read_config(path: str) -> dict:
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config error at line {lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = _coerce(value)
-    return values
-
-
-def _read_masks(path, max_masks: int) -> list:
-    """The masks of a records file, at most ``max_masks`` of them."""
+def _read_masks(path) -> list:
+    """The masks of a records file, at most ``prompt.MAX_MASKS`` of them."""
     records = maskio.read_records(path)
-    if len(records) > max_masks:
-        raise ValueError(f"capacity error: {len(records)} masks exceeds max_masks={max_masks}")
+    if len(records) > prompt.MAX_MASKS:
+        raise ValueError(f"capacity error: {len(records)} masks exceeds max_masks={prompt.MAX_MASKS}")
     return [r.mask for r in records]
 
 
 def _cmd_tokenize(args) -> int:
     image = maskio.read_pgm(args.image)
-    masks = _read_masks(args.masks, args.max_masks)
+    masks = _read_masks(args.masks)
     params = EncoderParams.seeded(args.seed, dim=args.enc_dim)
-    batch = build_prompt_batch(image, masks, params, scale=args.scale, grid=args.grid)
+    batch = build_prompt_batch(image, masks, params, scale=args.scale)
     image_len = batch.image_tokens.rows * batch.image_tokens.cols
     counts = [ts.count for ts in batch.mask_token_sets]
     layout = canonical_layout(image_len, args.text_len, counts, OUTPUT_SLOTS)
@@ -116,7 +91,7 @@ def _cmd_decode(args) -> int:
     if bool(args.params) != bool(args.vocab):
         raise ValueError("--params and --vocab must be given together")
     image = maskio.read_pgm(args.image)
-    masks = _read_masks(args.masks, prompt.MAX_MASKS)
+    masks = _read_masks(args.masks)
     enc = EncoderParams.seeded(args.seed, dim=args.enc_dim)
     batch = build_prompt_batch(image, masks, enc, scale=args.scale)
     if args.params:
@@ -192,8 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Word-free region recognition core: tokenize masks, build "
         "cascade attention masks, decode labels, evaluate, benchmark, filter.",
     )
-    parser.add_argument("--config", help="key = value defaults file; explicit flags win")
-    parser.add_argument("--seed", type=int, default=None, help="PRNG seed (default: WOW_SEED env var or 0)")
+    parser.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
     parser.add_argument("--pretty", action="store_true", help="indent JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -202,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--masks", required=True, help="JSON-lines mask records")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--scale", type=float, default=prompt.CONTEXT_SCALE, help="context scale (default 2)")
-    p.add_argument("--grid", type=int, default=16, help="token grid side (default 16)")
-    p.add_argument("--max-masks", type=int, default=prompt.MAX_MASKS, help="per-sample cap (default 30)")
     p.add_argument("--enc-dim", type=int, default=16)
     p.add_argument("--text-len", type=int, default=4)
     p.set_defaults(func=_cmd_tokenize)
@@ -254,33 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, command: str, values: dict) -> None:
-    """Make config values the defaults of the parser that owns each key.
-
-    A subcommand's own defaults override the top-level parser's, so keys of
-    subcommand options go to the chosen subcommand's parser; the rest (the
-    top-level options) go to the top-level parser.  A key that is no option
-    of any parser is an input error.
-    """
-    top = {action.dest for action in parser._actions}
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    known = top.union(*({a.dest for a in p._actions} for p in subparsers.choices.values()))
-    unknown = sorted(set(values) - known)
-    if unknown:
-        raise ValueError(f"config error: unknown key {unknown[0]!r}")
-    parser.set_defaults(**{k: v for k, v in values.items() if k in top})
-    subparsers.choices[command].set_defaults(**{k: v for k, v in values.items() if k not in top})
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        pre, _ = parser.parse_known_args(argv)
-        if pre.config:
-            _apply_config(parser, pre.command, _read_config(pre.config))
-        args = parser.parse_args(argv)
-        if args.seed is None:
-            args.seed = int(os.environ.get("WOW_SEED", "0"))
         return args.func(args)
     except (ValueError, KeyError, FileNotFoundError, IndexError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -76,7 +76,7 @@ BENCH_DEC_HEADS = 4
 BENCH_TOKENS_PER_MASK = 27
 
 
-def bench_decoder_params(seed: int = 7, enc_dim: int = 16) -> DecoderParams:
+def bench_decoder_params(seed: int, enc_dim: int = 16) -> DecoderParams:
     """Decoder defaults for the benchmark: a deliberately decoder-heavy
     configuration mirroring a language model that dwarfs its vision tower."""
     vocab = make_vocab([f"w{i}" for i in range(124)])

@@ -185,8 +185,8 @@ def read_pgm(path) -> RasterImage:
         if len(vals) != npix:
             raise ValueError(f"pgm length error: expected {npix} values, got {len(vals)}")
         arr = np.asarray(vals, dtype=np.float64)
-        if arr.size and (arr.min() < 0 or arr.max() > maxval):
-            raise ValueError("pgm parse error: pixel value outside 0..maxval")
+    if arr.min() < 0 or arr.max() > maxval:
+        raise ValueError("pgm parse error: pixel value outside 0..maxval")
 
     return RasterImage(width=width, height=height, channels=1, data=arr.reshape(height, width, 1))
 

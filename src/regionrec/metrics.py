@@ -135,7 +135,8 @@ def evaluate(pairs, provider) -> EvalReport:
     """Mean metrics over (pred, gold) or (pred, gold, vocabulary) tuples.
 
     mask_acc is the fraction of vocabulary-carrying instances whose matched
-    category equals the gold label; omitted (None) when nothing carries one.
+    category equals the gold label, both stripped and lowercased as for the
+    similarity; omitted (None) when nothing carries one.
     """
     pairs = list(pairs)
     if not pairs:
@@ -149,7 +150,7 @@ def evaluate(pairs, provider) -> EvalReport:
         if len(item) > 2 and item[2]:
             category, _ = open_vocab_classify(pred, list(item[2]), provider)
             acc_total += 1
-            acc_hits += int(category == gold)
+            acc_hits += int(category.strip().lower() == gold.strip().lower())
     return EvalReport(
         semantic_similarity=float(np.mean(sims)),
         semantic_iou=float(np.mean(ious)),

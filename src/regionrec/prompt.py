@@ -84,7 +84,6 @@ def mask2token(
     mask: BinaryMask,
     params: EncoderParams,
     scale: float = CONTEXT_SCALE,
-    grid: int = GRID_SIDE,
     mask_index: int = 0,
 ) -> MaskTokenSet:
     """Run the full per-mask pipeline and select active-cell features.
@@ -94,18 +93,18 @@ def mask2token(
     _check_dims(image, mask)
     bbox = tight_bbox(mask)
     window = context_crop_window(bbox, scale, image.width, image.height)
-    input_side = params.patch_side * grid
+    input_side = params.patch_side * GRID_SIDE
     crop = extract_and_resize(image, window, input_side)
     feats = encode(crop, params)
-    gm = downsample_to_grid(mask, window, grid, grid)
+    gm = downsample_to_grid(mask, window, GRID_SIDE, GRID_SIDE)
     idx = np.argwhere(gm.active)
     tokens = feats.values[gm.active]
     return MaskTokenSet(tokens=tokens, grid_indices=idx, mask_index=mask_index)
 
 
-def encode_global(image: RasterImage, params: EncoderParams, grid: int = GRID_SIDE) -> FeatureGrid:
+def encode_global(image: RasterImage, params: EncoderParams) -> FeatureGrid:
     """Square-stretch the whole image to the encoder input and encode it."""
-    side = params.patch_side * grid
+    side = params.patch_side * GRID_SIDE
     return encode(resize_image(image, side, side), params)
 
 
@@ -114,7 +113,6 @@ def build_prompt_batch(
     masks: list[BinaryMask],
     params: EncoderParams,
     scale: float = CONTEXT_SCALE,
-    grid: int = GRID_SIDE,
 ) -> PromptBatch:
     """Encode the global image once and every mask independently, in order.
 
@@ -122,9 +120,9 @@ def build_prompt_batch(
     """
     if not masks:
         raise ValueError("need at least one mask")
-    image_tokens = encode_global(image, params, grid)
+    image_tokens = encode_global(image, params)
     sets = tuple(
-        mask2token(image, m, params, scale=scale, grid=grid, mask_index=i)
+        mask2token(image, m, params, scale=scale, mask_index=i)
         for i, m in enumerate(masks)
     )
     return PromptBatch(image_tokens=image_tokens, mask_token_sets=sets)

@@ -111,7 +111,7 @@ def context_crop_window(bbox: BBox, scale: float, image_w: int, image_h: int) ->
     The window may extend past the image; extraction zero-fills rather than
     shifting, so the region stays centred.
     """
-    if scale < 1.0:
+    if not (math.isfinite(scale) and scale >= 1.0):
         raise ValueError("scale must be >= 1")
     if image_w < 1 or image_h < 1:
         raise ValueError("image dimensions must be >= 1")

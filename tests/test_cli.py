@@ -1,6 +1,6 @@
-"""Command line: its options, exit codes per subcommand, config defaults,
-``--pretty`` placement, the pinned outputs of every subcommand but ``eval``
-and the rejected inputs."""
+"""Command line: its options (flags are the only way to set a value), exit
+codes per subcommand, ``--pretty`` placement, the pinned outputs of every
+subcommand but ``eval`` and the rejected inputs."""
 
 import argparse
 import dataclasses
@@ -48,8 +48,7 @@ def files(tmp_path):
 
 
 def _subcommand_cases(d) -> dict:
-    """Per subcommand: a valid argv, and one with a single bad input (None
-    for a valid bench run, which the config test below makes)."""
+    """Per subcommand: a valid argv, and one with a single bad input."""
     image, masks = ["--image", str(d / "img.pgm")], ["--masks", str(d / "masks.jsonl")]
     return {
         "tokenize": (["tokenize", *image, *masks, "--out-dir", str(d / "tok")],
@@ -59,16 +58,24 @@ def _subcommand_cases(d) -> dict:
         "decode": (["decode", *image, *masks, "--max-label-len", "2"],
                    ["decode", *image, *masks, "--max-label-len", "0"]),
         "eval": (["eval", "--pred", str(d / "pred.jsonl")], ["eval", "--pred", str(d / "bad.jsonl")]),
-        "bench": (None, ["bench", "--k-values", "1,x"]),
+        "bench": (["bench", "--k-values", "1", "--repeats", "0"], ["bench", "--k-values", "1,x"]),
         "pipeline": (["pipeline", "--records", str(d / "masks.jsonl")],
                      ["pipeline", "--records", str(d / "masks.jsonl"), "--oracle", "ask-someone"]),
     }
 
 
+def _small_bench_decoder(monkeypatch):
+    """A small decoder in place of the bench decoder keeps a bench run cheap."""
+    monkeypatch.setattr(
+        cli, "bench_decoder_params",
+        lambda seed, enc_dim: decoder.DecoderParams.seeded(seed, decoder.make_vocab([]), enc_dim=enc_dim),
+    )
+
+
 # every option string per parser; adding or dropping a flag edits this table
 _OPTIONS = {
-    "regionrec": "--config --pretty --seed",
-    "tokenize": "--enc-dim --grid --image --masks --max-masks --out-dir --pretty --scale --text-len",
+    "regionrec": "--pretty --seed",
+    "tokenize": "--enc-dim --image --masks --out-dir --pretty --scale --text-len",
     "maskviz": "--layout --pretty --variant",
     "decode": "--enc-dim --image --masks --max-label-len --params --pretty --scale --text --variant --vocab",
     "eval": "--pred --pretty --provider-dim --vocab-file",
@@ -87,31 +94,36 @@ def test_the_option_strings_are_pinned():
 
 
 @pytest.mark.parametrize("command", ["tokenize", "maskviz", "decode", "eval", "bench", "pipeline"])
-def test_exit_codes_per_subcommand(command, files, capsys):
+def test_exit_codes_per_subcommand(command, files, monkeypatch, capsys):
+    _small_bench_decoder(monkeypatch)
     good, bad = _subcommand_cases(files)[command]
-    if good is not None:
-        assert run(good) == 0
+    assert run(good) == 0
     capsys.readouterr()
     assert run(bad) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_config_sets_subcommand_options(tmp_path, capsys):
-    (tmp_path / "bench.cfg").write_text("k_values = 1\nrepeats = 0\n")
-    assert run(["--config", str(tmp_path / "bench.cfg"), "bench"]) == 0
-    rows = json.loads(capsys.readouterr().out)["rows"]
-    assert [row["k"] for row in rows] == [1]
-    assert "wall_time_ms" not in rows[0]
+def test_config_is_an_unknown_option(tmp_path, capsys):
+    (tmp_path / "x.cfg").write_text("variant = causal\n")
+    assert run(["--config", str(tmp_path / "x.cfg"), "maskviz"]) == 2
+    assert run(["maskviz", "--config", str(tmp_path / "x.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "unrecognized arguments: --config" in err
 
 
-def test_explicit_flags_beat_the_config(tmp_path, capsys):
-    (tmp_path / "viz.cfg").write_text("variant = causal\nlayout = image:1 mask0:1 sep:1 out0:1\n")
-    assert run(["--config", str(tmp_path / "viz.cfg"), "maskviz"]) == 0
-    assert run(["--config", str(tmp_path / "viz.cfg"), "maskviz", "--variant", "cascade"]) == 0
-    causal, cascade = capsys.readouterr().out.split("image:")[1:]
-    assert causal == "1 mask0:1 sep:1 out0:1\n1000\n1100\n0000\n1111\n"
-    assert cascade == "1 mask0:1 sep:1 out0:1\n1000\n1100\n0000\n1101\n"
+def test_wow_seed_is_not_read(files, monkeypatch, capsys):
+    """Outputs under ``WOW_SEED=5`` are those of the default seed 0."""
+    image, masks = ["--image", str(files / "img.pgm")], ["--masks", str(files / "masks.jsonl")]
+    outputs = []
+    for env, out_dir in ((None, "seed0"), ("5", "env5")):
+        if env is not None:
+            monkeypatch.setenv("WOW_SEED", env)
+        assert run(["tokenize", *image, *masks, "--out-dir", str(files / out_dir)]) == 0
+        assert run(["decode", *image, *masks]) == 0
+        blobs = {p.name: p.read_bytes() for p in (files / out_dir).iterdir()}
+        outputs.append((capsys.readouterr().out, blobs))
+    assert outputs[0] == outputs[1]
 
 
 def test_pretty_is_accepted_after_the_subcommand(files, capsys):
@@ -134,24 +146,6 @@ def test_pretty_is_accepted_after_the_subcommand(files, capsys):
 def test_maskviz_dump_is_pinned(variant, digest, capsys):
     assert run(["maskviz", "--variant", variant]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
-
-
-def test_config_key_that_no_option_uses_exits_2(tmp_path, capsys):
-    (tmp_path / "typo.cfg").write_text("varient = causal\n")
-    assert run(["--config", str(tmp_path / "typo.cfg"), "maskviz"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "'varient'" in err and err.count("\n") == 1
-    # an option of another subcommand is a known key
-    (tmp_path / "other.cfg").write_text("k_values = 1\n")
-    assert run(["--config", str(tmp_path / "other.cfg"), "maskviz"]) == 0
-
-
-def _small_bench_decoder(monkeypatch):
-    """A small decoder in place of the bench decoder keeps a bench run cheap."""
-    monkeypatch.setattr(
-        cli, "bench_decoder_params",
-        lambda seed, enc_dim: decoder.DecoderParams.seeded(seed, decoder.make_vocab([]), enc_dim=enc_dim),
-    )
 
 
 def test_repeats_0_runs_no_timed_pass(monkeypatch, capsys):
@@ -313,13 +307,13 @@ def test_decoder_blob_flags_other_than_1_exit_2(flags, files, capsys):
 
 def test_capacity_error_names_limit(files, capsys):
     """The mask cap is checked on the records, before any encoding."""
-    image, out_dir = ["--image", str(files / "img.pgm")], ["--out-dir", str(files / "tok")]
-    assert run(["tokenize", *image, "--masks", str(files / "masks.jsonl"), *out_dir, "--max-masks", "1"]) == 2
-    _assert_one_line_input_error(capsys, "capacity error", "2 masks", "max_masks=1")
-    assert not (files / "tok").exists()
+    image, masks = ["--image", str(files / "img.pgm")], ["--masks", str(files / "many.jsonl")]
     many = [MaskRecord(BinaryMask.from_array(np.eye(32, dtype=bool)), "img", None)] * (prompt.MAX_MASKS + 1)
     write_records(many, files / "many.jsonl")
-    assert run(["decode", *image, "--masks", str(files / "many.jsonl")]) == 2
+    assert run(["tokenize", *image, *masks, "--out-dir", str(files / "tok")]) == 2
+    _assert_one_line_input_error(capsys, "capacity error", "31 masks", "max_masks=30")
+    assert not (files / "tok").exists()
+    assert run(["decode", *image, *masks]) == 2
     _assert_one_line_input_error(capsys, "capacity error", "31 masks", "max_masks=30")
 
 
@@ -336,13 +330,12 @@ def test_zero_sizes_are_rejected_where_they_are_built(build):
         build()
 
 
-@pytest.mark.parametrize("case", ["eval-provider-dim", "tokenize-grid", "tokenize-enc-dim", "decode-enc-dim",
-                                  "bench-enc-dim", "decode-zero-heads"])
+@pytest.mark.parametrize("case", ["eval-provider-dim", "tokenize-enc-dim", "decode-enc-dim", "bench-enc-dim",
+                                  "decode-zero-heads"])
 def test_zero_sizes_exit_2(case, files, capsys):
     image, masks = ["--image", str(files / "img.pgm")], ["--masks", str(files / "masks.jsonl")]
     argv = {
         "eval-provider-dim": ["eval", "--pred", str(files / "pred.jsonl"), "--provider-dim", "0"],
-        "tokenize-grid": ["tokenize", *image, *masks, "--out-dir", str(files / "tok"), "--grid", "0"],
         "tokenize-enc-dim": ["tokenize", *image, *masks, "--out-dir", str(files / "tok"), "--enc-dim", "0"],
         "decode-enc-dim": ["decode", *image, *masks, "--enc-dim", "0"],
         "bench-enc-dim": ["bench", "--k-values", "1", "--repeats", "0", "--enc-dim", "0"],
@@ -365,12 +358,27 @@ def test_bad_k_values_exit_2_and_name_k_values(k_values, capsys):
     _assert_one_line_input_error(capsys, "k_values")
 
 
-def test_flops_only_is_gone(tmp_path, capsys):
+def test_flops_only_is_gone(capsys):
     assert run(["bench", "--k-values", "1", "--flops-only"]) == 2
-    capsys.readouterr()
-    (tmp_path / "bench.cfg").write_text("k_values = 1\nflops_only = true\n")
-    assert run(["--config", str(tmp_path / "bench.cfg"), "bench"]) == 2
-    _assert_one_line_input_error(capsys, "'flops_only'")
+    assert "unrecognized arguments: --flops-only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, scale", [("tokenize", "inf"), ("tokenize", "nan"), ("decode", "inf")]
+)
+def test_a_scale_that_is_not_finite_exits_2(command, scale, files, capsys):
+    argv = [command, "--image", str(files / "img.pgm"), "--masks", str(files / "masks.jsonl"), "--scale", scale]
+    if command == "tokenize":
+        argv += ["--out-dir", str(files / "tok")]
+    assert run(argv) == 2
+    _assert_one_line_input_error(capsys, "scale")
+
+
+def test_a_pixel_above_maxval_exits_2(files, capsys):
+    (files / "loud.pgm").write_bytes(b"P5\n32 32\n15\n" + bytes([200]) * (32 * 32))
+    assert run(["tokenize", "--image", str(files / "loud.pgm"), "--masks", str(files / "masks.jsonl"),
+                "--out-dir", str(files / "tok")]) == 2
+    _assert_one_line_input_error(capsys, "outside 0..maxval")
 
 
 def test_a_records_line_that_is_not_an_object_exits_2(files, capsys):

@@ -48,6 +48,14 @@ def test_bad_magic_names_field(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("data", [b"P5\n2 1\n15\n\x0f\xc8", b"P2 2 1 15 15 200"], ids=["P5", "P2"])
+def test_pixel_above_maxval_rejected(data, tmp_path):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="outside 0..maxval"):
+        read_pgm(path)
+
+
 def test_maxval_above_255_rejected(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P2 1 1 65535 1234")

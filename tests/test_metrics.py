@@ -30,6 +30,12 @@ def test_mask_acc_needs_a_vocabulary():
     assert metrics.evaluate([("cat", "cat", ["dog", "cat"])], PROVIDER).mask_acc == 1.0
 
 
+def test_mask_acc_compares_labels_as_the_similarity_does():
+    # stripped and lowercased on both sides, as the similarity embeds them
+    assert metrics.evaluate([("Cat", "Cat", ["cat", "dog"])], PROVIDER).mask_acc == 1.0
+    assert metrics.evaluate([("cat", " CAT ", ["Cat", "dog"])], PROVIDER).mask_acc == 1.0
+
+
 def test_eval_with_vocab_file_end_to_end(tmp_path, capsys):
     preds = [{"image_id": "img", "mask_index": 0, "pred": "cat", "gold": "cat"},
              {"image_id": "img", "mask_index": 1, "pred": "puppy", "gold": "dog"}]

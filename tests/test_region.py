@@ -164,6 +164,12 @@ def test_window_scale_below_one_rejected():
         context_crop_window(BBox(0, 0, 2, 2), 0.5, 10, 10)
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf])
+def test_window_scale_not_finite_rejected(scale):
+    with pytest.raises(ValueError, match="scale must be >= 1"):
+        context_crop_window(BBox(0, 0, 2, 2), scale, 10, 10)
+
+
 # -- extract_and_resize -------------------------------------------------------
 
 
