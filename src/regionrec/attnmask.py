@@ -14,13 +14,16 @@ triangle minus what three decoupling rules remove:
 Separator rows attend to nothing; their attention output is defined as the
 zero vector downstream.  The rules are one predicate over the (kind,
 instance) codes of a query segment and a key segment, which stay private to
-this module; matrices are plain dense boolean arrays at this scale.
+this module.  A mask is the predicate's table over the layout's segments
+plus a set of dead positions.  The decoder's attention blocks come from the
+table; the dense n x n matrix is built only when asked for.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -168,35 +171,6 @@ class CascadeConfig:
         return cls(False, False)
 
 
-@dataclass(frozen=True)
-class AttentionMaskMatrix:
-    """n x n visibility matrix: bits[q, k] means query q may attend key k."""
-
-    n: int
-    bits: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=bool)
-        if bits.shape != (self.n, self.n):
-            raise ValueError("bits must be n x n")
-        if (bits & ~np.tri(self.n, dtype=bool)).any():
-            raise ValueError("attention mask exceeds the causal triangle")
-        bits = bits.copy()
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
-
-    def visible_pairs(self) -> int:
-        return int(self.bits.sum())
-
-    def without(self, positions: np.ndarray) -> "AttentionMaskMatrix":
-        """This mask with ``positions`` dead: their rows and columns cleared,
-        so they neither attend nor are attended."""
-        bits = self.bits.copy()
-        bits[positions, :] = False
-        bits[:, positions] = False
-        return AttentionMaskMatrix(n=self.n, bits=bits)
-
-
 def _visible(kq, iq, kk, ik, config: CascadeConfig) -> np.ndarray:
     """May a query of segment kind ``kq`` and instance ``iq`` see an earlier
     key of kind ``kk`` and instance ``ik``?
@@ -217,26 +191,74 @@ def _visible(kq, iq, kk, ik, config: CascadeConfig) -> np.ndarray:
     return vis
 
 
-def build_cascade_mask(layout: SequenceLayout, config: CascadeConfig) -> AttentionMaskMatrix:
-    """Construct the visibility matrix for a layout under a config.
+@dataclass(frozen=True, eq=False)
+class AttentionMask:
+    """The cascade mask of ``layout`` under ``config`` with the ``dead``
+    positions removed: they neither attend nor are attended.
 
-    ``_visible`` fills an S x S table over the layout's S segments; the table
-    is expanded to positions by each segment's length on both axes and cut
-    to the causal lower triangle.
+    ``table[s, t]`` says whether a query in segment s may see an earlier key
+    in segment t.  ``build_cascade_mask`` computes it once; ``without``
+    carries it along and only grows the dead set.
     """
+
+    layout: SequenceLayout
+    config: CascadeConfig
+    table: np.ndarray = field(repr=False)
+    dead: np.ndarray = field(repr=False)
+
+    def without(self, positions) -> "AttentionMask":
+        """This mask with ``positions`` dead as well."""
+        dead = self.dead.copy()
+        dead[positions] = True
+        return replace(self, dead=dead)
+
+    def blocks(self) -> list[tuple[int, int, np.ndarray]]:
+        """Query rows as ``(start, stop, keys)`` attention blocks, one per
+        maximal run of live rows inside one segment.  ``keys`` are the live
+        positions before ``stop`` in the segments the block's table row marks
+        visible; row r sees those <= r.  Separator and dead rows see nothing
+        and lie in no block."""
+        lengths = [seg.length for seg in self.layout.segments]
+        seg_of = np.repeat(np.arange(len(lengths)), lengths)
+        seen = self.table[:, seg_of] & ~self.dead  # seen[s, p]: segment s may see live position p
+        live = seen[seg_of, np.arange(seg_of.size)]  # a row sees itself unless separator or dead
+        same = seg_of[1:] == seg_of[:-1]
+        first, last = live.copy(), live.copy()
+        first[1:] &= ~(live[:-1] & same)
+        last[:-1] &= ~(live[1:] & same)
+        return [(int(a), int(b) + 1, np.flatnonzero(seen[seg_of[a], : b + 1]))
+                for a, b in zip(np.flatnonzero(first), np.flatnonzero(last))]
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """n x n, ``bits[q, k]`` meaning query q may attend key k: the table
+        repeated by segment length on both axes, cut to the causal lower
+        triangle, with the dead rows and columns cleared."""
+        lengths = [seg.length for seg in self.layout.segments]
+        bits = np.repeat(np.repeat(self.table, lengths, axis=0), lengths, axis=1)
+        bits &= np.tri(self.layout.n, dtype=bool)
+        bits[self.dead] = False
+        bits[:, self.dead] = False
+        bits.flags.writeable = False
+        return bits
+
+    def visible_pairs(self) -> int:
+        return int(self.bits.sum())
+
+
+def build_cascade_mask(layout: SequenceLayout, config: CascadeConfig) -> AttentionMask:
+    """The mask of a layout under a config, with no dead position:
+    ``_visible`` fills the S x S table over the layout's S segments."""
     segments = layout.segments
-    lengths = [seg.length for seg in segments]
     kinds = np.array([_KIND_CODE[seg.kind] for seg in segments])
     insts = np.array([-1 if seg.index is None else seg.index for seg in segments])
     table = _visible(kinds[:, None], insts[:, None], kinds[None, :], insts[None, :], config)
     # the plain causal table depends on the query only and comes back S x 1
     table = np.broadcast_to(table, (len(segments), len(segments)))
-    bits = np.repeat(np.repeat(table, lengths, axis=0), lengths, axis=1)
-    bits &= np.tri(layout.n, dtype=bool)
-    return AttentionMaskMatrix(n=layout.n, bits=bits)
+    return AttentionMask(layout, config, table, np.zeros(layout.n, dtype=bool))
 
 
-def dump_attention_mask(mask: AttentionMaskMatrix, layout: SequenceLayout) -> str:
+def dump_attention_mask(mask: AttentionMask) -> str:
     """Bit-exact ASCII dump: layout header line, then one 0/1 row per query."""
     rows = ["".join("1" if b else "0" for b in row) for row in mask.bits]
-    return "\n".join([layout.header()] + rows)
+    return "\n".join([mask.layout.header()] + rows)

@@ -3,8 +3,9 @@
 Outputs are machine-readable: ``maskviz`` dumps the mask of ``--layout``
 (default ``FIG4_PRESET``) as ASCII, every other subcommand prints JSON
 (``--pretty`` indents it).  ``tokenize`` and ``decode`` reject more masks
-than ``prompt.MAX_MASKS``.  Every subcommand is deterministic under a fixed
-``--seed`` (default 0).  Flags are the only way to set a value.
+than ``prompt.MAX_MASKS``, ``maskviz`` a layout longer than
+``harness.BENCH_DEC_MAX_LEN``.  Every subcommand is deterministic under a
+fixed ``--seed`` (default 0).  Flags are the only way to set a value.
 
 Exit codes: 0 success, 2 input error (single-line diagnostic on stderr),
 3 internal invariant violation.
@@ -81,9 +82,11 @@ def _cmd_tokenize(args) -> int:
 
 def _cmd_maskviz(args) -> int:
     layout = attnmask.parse_layout_header(args.layout)
+    if layout.n > harness.BENCH_DEC_MAX_LEN:
+        raise ValueError(f"layout of {layout.n} positions exceeds max_len={harness.BENCH_DEC_MAX_LEN}")
     config = _VARIANTS[args.variant]()
     mask = build_cascade_mask(layout, config)
-    _emit(args, dump_attention_mask(mask, layout))
+    _emit(args, dump_attention_mask(mask))
     return 0
 
 

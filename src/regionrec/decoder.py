@@ -1,16 +1,16 @@
-"""Toy pre-norm transformer decoder with pluggable visibility masks.
+"""Toy pre-norm transformer decoder over cascade attention masks.
 
-Attention runs over segment blocks: maximal runs of rows inside one layout
-segment in which every row sees its predecessor's keys plus, possibly,
-itself.  A block gathers the key set of its last row once; keys outside
-that set are never read, and a gathered key in a row's causal tail gets
-weight exactly 0.  So, for finite inputs, no masked key can change any
-output bit — which is what turns the cascade-mask independence claims into
-exact, testable identities.  Blocks stop at segment boundaries, so the
+Attention runs over the mask's blocks (``AttentionMask.blocks``): maximal
+runs of live rows inside one layout segment, read off the segment table.
+A block gathers its keys once, the live positions its segment may see;
+keys outside that set are never read, and a gathered key in a row's causal
+tail gets weight exactly 0.  So, for finite inputs, no masked key can change
+any output bit — which is what turns the cascade-mask independence claims
+into exact, testable identities.  Blocks stop at segment boundaries, so the
 length of every reduction a row takes part in depends only on its own
 segment; isolating an object therefore leaves the kept rows bit-identical.
-The forward needs the sequence's layout for this.  Fully masked rows emit
-the zero vector.
+``forward`` rejects a mask built for another layout than the sequence's.
+Separator and dead rows emit the zero vector.
 
 Decoding fills pre-allocated output slots (dead until filled, so positions
 never move) one object after another.  Chunk i's first token is predicted
@@ -36,7 +36,7 @@ from .attnmask import (
     SEP,
     TEXT,
     IMAGE,
-    AttentionMaskMatrix,
+    AttentionMask,
     CascadeConfig,
     SequenceLayout,
     build_cascade_mask,
@@ -261,32 +261,9 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _segment_blocks(bits: np.ndarray, layout: SequenceLayout) -> list[tuple[int, int, np.ndarray]]:
-    """Query rows grouped as ``(start, stop, keys)`` attention blocks.
-
-    A block is a maximal run of non-empty rows inside one layout segment in
-    which every row sees exactly the previous row's keys, plus possibly
-    itself; row r then sees the entries of ``keys`` (the last row's visible
-    set) that are <= r.  Empty rows belong to no block.
-    """
-    n = bits.shape[0]
-    live = bits.any(axis=1)
-    changed = bits[1:] != bits[:-1]
-    changed[np.arange(n - 1), np.arange(1, n)] = False  # the later row's own diagonal
-    starts = live.copy()
-    starts[1:] &= ~(live[:-1] & ~changed.any(axis=1))
-    seg_starts = np.cumsum([0] + [seg.length for seg in layout.segments])[:-1]
-    seg_starts = seg_starts[seg_starts < n]
-    starts[seg_starts] = live[seg_starts]
-    first = np.flatnonzero(starts)
-    bounds = np.append(np.flatnonzero(starts | ~live), n)
-    stops = bounds[np.searchsorted(bounds, first, side="right")]
-    return [(int(a), int(b), np.flatnonzero(bits[b - 1])) for a, b in zip(first, stops)]
-
-
 def _attention(x_norm: np.ndarray, block: LayerWeights, heads: int, attn_blocks) -> np.ndarray:
-    """Multi-head attention: per ``_segment_blocks`` block, one key gather,
-    one batched score matmul and one value matmul.
+    """Multi-head attention: per ``AttentionMask.blocks`` block, one key
+    gather, one batched score matmul and one value matmul.
 
     A row's causal tail (gathered keys after the row) is set to -inf by
     selection, so it gets weight exactly 0; keys outside the gathered set
@@ -330,14 +307,15 @@ def embed_sequence(seq: TokenSequence, params: DecoderParams) -> np.ndarray:
     return x + params.pos[:n]
 
 
-def forward(seq: TokenSequence, mask: AttentionMaskMatrix, params: DecoderParams) -> np.ndarray:
+def forward(seq: TokenSequence, mask: AttentionMask, params: DecoderParams) -> np.ndarray:
     """Per-position logits under the given visibility mask."""
-    if seq.n != mask.n:
-        raise ValueError(f"shape error: sequence length {seq.n} != mask size {mask.n}")
+    if mask.layout != seq.layout:
+        raise ValueError(f"shape error: mask layout {mask.layout.header()!r} "
+                         f"is not the sequence layout {seq.layout.header()!r}")
     if not np.isfinite(seq.injected).all():
         raise ValueError("numeric error: non-finite injected values")
     x = embed_sequence(seq, params)
-    attn_blocks = _segment_blocks(mask.bits, seq.layout)
+    attn_blocks = mask.blocks()
     for block in params.blocks:
         x = x + _attention(_layer_norm(x, block.ln1_g, block.ln1_b), block, params.heads, attn_blocks)
         h = _layer_norm(x, block.ln2_g, block.ln2_b)
@@ -484,7 +462,7 @@ def isolate_single_mask(
     keep: int,
     *,
     pad_id: int = 0,
-) -> tuple[TokenSequence, AttentionMaskMatrix]:
+) -> tuple[TokenSequence, AttentionMask]:
     """Pad out every other object's mask and output tokens and kill their
     rows and columns under the full cascade; positions (and hence position
     embeddings) are kept.
@@ -508,7 +486,7 @@ def isolate_single_mask(
 
 def teacher_forced_loss(
     seq: TokenSequence,
-    mask: AttentionMaskMatrix,
+    mask: AttentionMask,
     params: DecoderParams,
 ) -> float:
     """Mean cross-entropy over output-chunk token positions.

@@ -74,6 +74,7 @@ BENCH_DEC_DIM = 256
 BENCH_DEC_LAYERS = 4
 BENCH_DEC_HEADS = 4
 BENCH_TOKENS_PER_MASK = 27
+BENCH_DEC_MAX_LEN = 4096  # also the longest layout maskviz renders
 
 
 def bench_decoder_params(seed: int, enc_dim: int = 16) -> DecoderParams:
@@ -87,7 +88,7 @@ def bench_decoder_params(seed: int, enc_dim: int = 16) -> DecoderParams:
         heads=BENCH_DEC_HEADS,
         layers=BENCH_DEC_LAYERS,
         enc_dim=enc_dim,
-        max_len=4096,
+        max_len=BENCH_DEC_MAX_LEN,
     )
 
 

@@ -209,14 +209,17 @@ def write_pgm(image: RasterImage, path) -> None:
 def mask_from_rle(rle) -> BinaryMask:
     """Decode uncompressed RLE (column-major, leading false-run).
 
-    Accepts the JSON text or an already-parsed dict.
+    Accepts the JSON text or an already-parsed dict.  ``size`` and
+    ``counts`` must hold integers: no float, string or boolean.
     """
     obj = json.loads(rle) if isinstance(rle, (str, bytes)) else rle
     try:
-        h, w = (int(v) for v in obj["size"])
-        counts = [int(c) for c in obj["counts"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        size, counts = list(obj["size"]), list(obj["counts"])
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"rle parse error: {exc}") from None
+    if len(size) != 2 or not all(type(v) is int for v in size + counts):
+        raise ValueError("rle parse error: size must be two integers and counts a list of integers")
+    h, w = size
     if any(c < 0 for c in counts):
         raise ValueError("rle value error: negative count")
     total = sum(counts)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from regionrec.attnmask import (
-    AttentionMaskMatrix,
     CascadeConfig,
     Segment,
     SequenceLayout,
@@ -161,27 +160,18 @@ def test_variant_lattice(rng):
         assert not (region & ~causal).any()
 
 
-def test_bits_above_the_diagonal_are_rejected():
-    bits = np.tri(4, dtype=bool)
-    AttentionMaskMatrix(n=4, bits=bits)
-    bits[1, 3] = True
-    with pytest.raises(ValueError, match="causal triangle"):
-        AttentionMaskMatrix(n=4, bits=bits)
-
-
-def parse_attention_dump(text: str) -> tuple[AttentionMaskMatrix, SequenceLayout]:
-    """Read back what ``dump_attention_mask`` writes."""
+def parse_attention_dump(text: str) -> tuple[np.ndarray, SequenceLayout]:
+    """Read back what ``dump_attention_mask`` writes: the bits and the layout."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     layout = parse_layout_header(lines[0])
     bits = np.array([[c == "1" for c in ln.strip()] for ln in lines[1:]], dtype=bool)
-    return AttentionMaskMatrix(n=bits.shape[0], bits=bits), layout
+    return bits, layout
 
 
 def test_dump_round_trip():
     built = build_cascade_mask(FIG4, CascadeConfig.full_cascade())
-    text = dump_attention_mask(built, FIG4)
-    back_mask, back_layout = parse_attention_dump(text)
-    assert np.array_equal(back_mask.bits, built.bits)
+    back_bits, back_layout = parse_attention_dump(dump_attention_mask(built))
+    assert np.array_equal(back_bits, built.bits)
     assert back_layout.header() == FIG4.header()
 
 

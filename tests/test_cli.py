@@ -418,3 +418,22 @@ def test_an_empty_vocab_file_exits_2(files, capsys):
     (files / "vocab.txt").write_text("\n  \n")
     assert run(["eval", "--pred", str(files / "pred.jsonl"), "--vocab-file", str(files / "vocab.txt")]) == 2
     _assert_one_line_input_error(capsys, "vocab.txt")
+
+
+@pytest.mark.parametrize(
+    "rle",
+    ['{"size": [1e400, 32], "counts": [1024]}', '{"size": [32.5, 32], "counts": [1024]}',
+     '{"size": ["32", "32"], "counts": [1024]}', '{"size": [32, 32], "counts": [1023.5, 0.5]}',
+     '{"size": [32, 32], "counts": [1000.5, 24]}', '{"size": [32, 32], "counts": [1023, true]}'],
+    ids=["size-overflow", "size-float", "size-string", "counts-halves", "counts-float", "counts-bool"],
+)
+def test_an_rle_value_that_is_not_an_integer_exits_2(rle, files, capsys):
+    (files / "odd.jsonl").write_text(f'{{"image_id": "img", "label": "cat", "rle": {rle}}}\n')
+    assert run(["pipeline", "--records", str(files / "odd.jsonl")]) == 2
+    _assert_one_line_input_error(capsys, "line 1", "integers")
+
+
+def test_maskviz_rejects_a_layout_longer_than_the_decoder_takes(capsys):
+    assert run(["maskviz", "--layout", "image:100000000 mask0:1 out0:1"]) == 2
+    _assert_one_line_input_error(capsys, "100000002 positions", f"max_len={harness.BENCH_DEC_MAX_LEN}")
+    assert run(["maskviz", "--layout", f"image:{harness.BENCH_DEC_MAX_LEN - 2} mask0:1 out0:1"]) == 0

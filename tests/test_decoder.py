@@ -6,10 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from regionrec import decoder
 from regionrec.attnmask import (
     MASK,
     OUT,
-    AttentionMaskMatrix,
     CascadeConfig,
     build_cascade_mask,
     canonical_layout,
@@ -31,7 +31,7 @@ from regionrec.decoder import (
 from regionrec.encoder import FeatureGrid
 from regionrec.prompt import MaskTokenSet, PromptBatch
 
-from conftest import random_layout
+from conftest import oracle_cascade_bits, random_layout
 
 ALL_CONFIGS = [
     CascadeConfig.full_cascade(),
@@ -207,20 +207,67 @@ def test_forward_matches_reference_on_dead_decode_slots(config, params, rng):
         assert_close_to_oracle(seq, mask, params)
 
 
-def test_forward_matches_reference_on_arbitrary_causal_masks(params, rng):
-    # rows that do not share their predecessor's keys form blocks of one row
-    for _ in range(4):
-        layout = random_layout(rng)
-        seq = random_sequence(rng, layout, params)
-        bits = np.tril(rng.random((layout.n, layout.n)) < 0.6)
-        assert_close_to_oracle(seq, AttentionMaskMatrix(n=layout.n, bits=bits), params)
-
-
 @pytest.mark.parametrize("header", ["image:1", "image:1 mask0:1 out0:0", "image:3 mask0:2 mask1:1 out0:0 out1:2"])
 def test_forward_matches_reference_on_edge_layouts(header, params, rng):
     layout = parse_layout_header(header)
     for config in ALL_CONFIGS:
         assert_close_to_oracle(random_sequence(rng, layout, params), build_cascade_mask(layout, config), params)
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)
+def test_blocks_follow_the_segment_table(config, params, rng):
+    """Every live row lies in exactly one block, which stays inside its
+    segment and whose keys up to the row are the oracle's visible set;
+    separator and dead rows lie in no block."""
+    for _ in range(20):
+        layout = random_layout(rng)
+        n = layout.n
+        segment_of = np.repeat(np.arange(len(layout.segments)), [seg.length for seg in layout.segments])
+        separator = np.array([seg.kind == "sep" for seg in layout.segments])[segment_of]
+        keep = int(rng.integers(layout.num_objects))
+        isolated = isolate_single_mask(random_sequence(rng, layout, params), layout, keep)[1].dead
+        dead_sets = [np.zeros(0, dtype=np.int64), np.flatnonzero(rng.random(n) < 0.1),
+                     np.flatnonzero(rng.random(n) < 0.4), random_fill(rng, layout)[1], np.flatnonzero(isolated)]
+        for dead in dead_sets:
+            want = oracle_cascade_bits(layout, config)
+            want[dead] = False
+            want[:, dead] = False
+            in_blocks = np.zeros(n, dtype=np.int64)
+            for start, stop, keys in build_cascade_mask(layout, config).without(dead).blocks():
+                in_blocks[start:stop] += 1
+                assert segment_of[start] == segment_of[stop - 1]
+                for r in range(start, stop):
+                    assert np.array_equal(keys[keys <= r], np.flatnonzero(want[r]))
+            live = ~separator
+            live[dead] = False
+            assert np.array_equal(in_blocks, live.astype(np.int64))
+
+
+def test_forward_rejects_a_mask_of_another_layout(params, rng):
+    layout = parse_layout_header("image:2 mask0:1 sep:1 out0:1")
+    other = parse_layout_header("image:3 mask0:1 out0:1")
+    seq = random_sequence(rng, layout, params)
+    with pytest.raises(ValueError, match="layout"):
+        forward(seq, build_cascade_mask(other, CascadeConfig.full_cascade()), params)
+
+
+def test_no_dense_matrix_is_built_on_the_hot_path(params, rng, monkeypatch):
+    layout = parse_layout_header("image:1 mask0:1 sep:1 out0:2")
+    seq = assemble_sequence(layout, params, rng.normal(size=(1, ENC_DIM)), {0: rng.normal(size=(1, ENC_DIM))},
+                            [], output_ids={0: [params.token_id("w5"), params.end_id]})
+    mask = build_cascade_mask(layout, CascadeConfig.full_cascade())
+    forward(seq, mask, params)
+    teacher_forced_loss(seq, mask, params)
+    assert "bits" not in mask.__dict__
+    seen = []
+
+    def spy(seq, mask, params):
+        seen.append(mask)
+        return forward(seq, mask, params)
+
+    monkeypatch.setattr(decoder, "forward", spy)
+    decode_objects(random_batch(rng, [2, 1]), [params.token_id("<start>")], params, max_label_len=3)
+    assert seen and all("bits" not in m.__dict__ for m in seen)
 
 
 # ---------------------------------------------------------------------------
