@@ -193,16 +193,15 @@ def _visible(kq, iq, kk, ik, config: CascadeConfig) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AttentionMask:
-    """The cascade mask of ``layout`` under ``config`` with the ``dead``
-    positions removed: they neither attend nor are attended.
+    """A cascade mask of ``layout`` with the ``dead`` positions removed:
+    they neither attend nor are attended.
 
     ``table[s, t]`` says whether a query in segment s may see an earlier key
-    in segment t.  ``build_cascade_mask`` computes it once; ``without``
-    carries it along and only grows the dead set.
+    in segment t.  ``build_cascade_mask`` computes it once from a config;
+    ``without`` carries it along and only grows the dead set.
     """
 
     layout: SequenceLayout
-    config: CascadeConfig
     table: np.ndarray = field(repr=False)
     dead: np.ndarray = field(repr=False)
 
@@ -255,10 +254,10 @@ def build_cascade_mask(layout: SequenceLayout, config: CascadeConfig) -> Attenti
     table = _visible(kinds[:, None], insts[:, None], kinds[None, :], insts[None, :], config)
     # the plain causal table depends on the query only and comes back S x 1
     table = np.broadcast_to(table, (len(segments), len(segments)))
-    return AttentionMask(layout, config, table, np.zeros(layout.n, dtype=bool))
+    return AttentionMask(layout, table, np.zeros(layout.n, dtype=bool))
 
 
 def dump_attention_mask(mask: AttentionMask) -> str:
     """Bit-exact ASCII dump: layout header line, then one 0/1 row per query."""
-    rows = ["".join("1" if b else "0" for b in row) for row in mask.bits]
-    return "\n".join([mask.layout.header()] + rows)
+    chars = np.where(mask.bits, ord("1"), ord("0")).astype(np.uint8)
+    return "\n".join([mask.layout.header()] + [row.tobytes().decode("ascii") for row in chars])

@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError, IndexError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, FileNotFoundError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # invariant violations are bugs; surface loudly

@@ -86,11 +86,7 @@ class DecoderParams:
     """
 
     vocab: tuple[str, ...]
-    dim: int
     heads: int
-    layers: int
-    max_len: int
-    enc_dim: int
     embed: np.ndarray = field(repr=False)
     pos: np.ndarray = field(repr=False)
     adapter: np.ndarray = field(repr=False)
@@ -108,6 +104,22 @@ class DecoderParams:
         for special in SPECIALS:
             if special not in self.vocab:
                 raise ValueError(f"config error: vocabulary missing special {special!r}")
+
+    @property
+    def dim(self) -> int:
+        return self.embed.shape[1]
+
+    @property
+    def layers(self) -> int:
+        return len(self.blocks)
+
+    @property
+    def max_len(self) -> int:
+        return self.pos.shape[0]
+
+    @property
+    def enc_dim(self) -> int:
+        return self.adapter.shape[0]
 
     def token_id(self, token: str) -> int:
         try:
@@ -148,17 +160,16 @@ class DecoderParams:
 
         layout = _weight_layout(len(vocab), dim, layers, enc_dim, max_len)
         tensors = {name: draw(name, shape, fan_in) for name, shape, fan_in in layout}
-        return cls._from_tensors(tensors, vocab=vocab, dim=dim, heads=heads, layers=layers,
-                                 max_len=max_len, enc_dim=enc_dim)
+        return cls._from_tensors(tensors, vocab, heads, layers)
 
     @classmethod
-    def _from_tensors(cls, tensors: dict, **header) -> "DecoderParams":
-        """Params from the scalar fields and the ``_weight_layout`` tensors by name."""
+    def _from_tensors(cls, tensors: dict, vocab, heads: int, layers: int) -> "DecoderParams":
+        """Params from the ``_weight_layout`` tensors by name."""
         blocks = tuple(
             LayerWeights(**{f.name: tensors.pop(f"blocks.{i}.{f.name}") for f in fields(LayerWeights)})
-            for i in range(header["layers"])
+            for i in range(layers)
         )
-        return cls(**header, blocks=blocks, **tensors)
+        return cls(vocab=vocab, heads=heads, blocks=blocks, **tensors)
 
 
 def _weight_layout(v: int, dim: int, layers: int, enc_dim: int, max_len: int):
@@ -526,27 +537,6 @@ def teacher_forced_loss(
 # ---------------------------------------------------------------------------
 
 
-def _tensor(params: DecoderParams, name: str) -> np.ndarray:
-    """The tensor a ``_weight_layout`` name refers to."""
-    if name.startswith("blocks."):
-        _, i, field_name = name.split(".")
-        return getattr(params.blocks[int(i)], field_name)
-    return getattr(params, name)
-
-
-def save_decoder_params(params: DecoderParams, blob_path, vocab_path) -> None:
-    layout = _weight_layout(len(params.vocab), params.dim, params.layers, params.enc_dim, params.max_len)
-    with open(blob_path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<HBB", params.dim, params.heads, params.layers))
-        fh.write(struct.pack("<IIII", len(params.vocab), params.max_len, params.enc_dim, 1))
-        for name, _, _ in layout:
-            fh.write(np.asarray(_tensor(params, name)).astype("<f4").tobytes())
-    with open(vocab_path, "w", encoding="ascii") as fh:
-        json.dump(list(params.vocab), fh)
-        fh.write("\n")
-
-
 def load_decoder_params(blob_path, vocab_path) -> DecoderParams:
     with open(vocab_path, "r", encoding="ascii") as fh:
         vocab = tuple(json.load(fh))
@@ -571,5 +561,4 @@ def load_decoder_params(blob_path, vocab_path) -> DecoderParams:
     data = np.frombuffer(blob, dtype="<f4", offset=_HEADER_BYTES).astype(np.float64)
     chunks = np.split(data, np.cumsum(sizes)[:-1])
     tensors = {name: chunk.reshape(shape) for (name, shape, _), chunk in zip(layout, chunks)}
-    return DecoderParams._from_tensors(tensors, vocab=vocab, dim=dim, heads=heads, layers=layers,
-                                       max_len=max_len, enc_dim=enc_dim)
+    return DecoderParams._from_tensors(tensors, vocab, heads, layers)

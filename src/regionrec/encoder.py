@@ -10,10 +10,11 @@ weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .maskio import RasterImage
+from .maskio import RasterImage, _readonly
 from .prng import Xoshiro256StarStar, quantized_uniform
 
 GRID_SIDE = 16
@@ -24,20 +25,27 @@ PATCH_SIDE = 28
 class FeatureGrid:
     """rows x cols x dim feature tensor; values must be finite."""
 
-    rows: int
-    cols: int
-    dim: int
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (self.rows, self.cols, self.dim):
-            raise ValueError("values shape does not match rows x cols x dim")
+        if values.ndim != 3 or values.size == 0:
+            raise ValueError(f"feature values must be a non-empty 3-D array, got shape {values.shape}")
         if not np.isfinite(values).all():
             raise ValueError("feature grid contains non-finite values")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _readonly(values.copy()))
+
+    @property
+    def rows(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.values.shape[2]
 
     def tokens(self) -> np.ndarray:
         """Row-major (rows*cols, dim) view of the grid."""
@@ -48,32 +56,32 @@ class FeatureGrid:
 class EncoderParams:
     """Linear patch-projection weights.
 
-    ``projection`` has shape (patch_side**2 * channels, dim); a patch is
-    flattened row-major with channels fastest, divided by 255, and matrix-
-    multiplied.
+    ``projection`` has shape (patch_side**2, dim); a patch of the image plane
+    is flattened row-major, divided by 255, and matrix-multiplied.
     """
 
     patch_side: int
-    dim: int
-    channels: int
     projection: np.ndarray = field(repr=False)
+    channels: ClassVar[int] = 1  # images are single planes
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"encoder dim must be >= 1, got {self.dim}")
         proj = np.asarray(self.projection, dtype=np.float64)
-        fan_in = self.patch_side * self.patch_side * self.channels
-        if proj.shape != (fan_in, self.dim):
-            raise ValueError(f"projection shape {proj.shape} != {(fan_in, self.dim)}")
-        proj = proj.copy()
-        proj.flags.writeable = False
-        object.__setattr__(self, "projection", proj)
+        fan_in = self.patch_side * self.patch_side
+        if proj.ndim != 2 or proj.shape[0] != fan_in:
+            raise ValueError(f"projection shape {proj.shape} is not ({fan_in}, dim)")
+        if proj.shape[1] < 1:
+            raise ValueError(f"encoder dim must be >= 1, got {proj.shape[1]}")
+        object.__setattr__(self, "projection", _readonly(proj.copy()))
+
+    @property
+    def dim(self) -> int:
+        return self.projection.shape[1]
 
     @classmethod
     def seeded(cls, seed: int, patch_side: int = PATCH_SIDE, dim: int = 16) -> "EncoderParams":
         fan_in = patch_side * patch_side
         proj = quantized_uniform(Xoshiro256StarStar(seed), fan_in, (fan_in, dim))
-        return cls(patch_side=patch_side, dim=dim, channels=1, projection=proj)
+        return cls(patch_side=patch_side, projection=proj)
 
 
 def encode(image: RasterImage, params: EncoderParams) -> FeatureGrid:
@@ -87,15 +95,9 @@ def encode(image: RasterImage, params: EncoderParams) -> FeatureGrid:
         raise ValueError(
             f"shape error: side {image.width} not divisible by patch {params.patch_side}"
         )
-    if image.channels != params.channels:
-        raise ValueError(f"shape error: image channels {image.channels} != {params.channels}")
     g = image.width // params.patch_side
     p = params.patch_side
     scaled = image.data / 255.0
-    patches = (
-        scaled.reshape(g, p, g, p, params.channels)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(g * g, p * p * params.channels)
-    )
+    patches = scaled.reshape(g, p, g, p).transpose(0, 2, 1, 3).reshape(g * g, p * p)
     values = patches @ params.projection
-    return FeatureGrid(rows=g, cols=g, dim=params.dim, values=values.reshape(g, g, params.dim))
+    return FeatureGrid(values.reshape(g, g, params.dim))

@@ -47,7 +47,7 @@ def encoder_flops(k: int, enc: EncoderParams) -> int:
     """K crop encodes plus one global encode, each a resize to the encoder
     input and a patch projection onto the ``GRID_SIDE`` grid."""
     side = enc.patch_side * GRID_SIDE
-    resize = RESIZE_FLOPS_PER_PIXEL * side * side * enc.channels
+    resize = RESIZE_FLOPS_PER_PIXEL * side * side
     projection = 2 * GRID_SIDE * GRID_SIDE * enc.projection.size
     return (k + 1) * (resize + projection)
 
@@ -104,7 +104,7 @@ def synthesize_mask_corpus(n_masks: int, seed: int = 0) -> tuple[RasterImage, li
     side = 64
     rng = Xoshiro256StarStar(seed)
     gy, gx = np.mgrid[0:side, 0:side]
-    image = RasterImage.from_array(((gx * 3 + gy * 5) % 256).astype(np.float64))
+    image = RasterImage(((gx * 3 + gy * 5) % 256).astype(np.float64))
 
     masks = []
     central = [(r, c) for r in range(4, 12) for c in range(4, 12)]
@@ -121,7 +121,7 @@ def synthesize_mask_corpus(n_masks: int, seed: int = 0) -> tuple[RasterImage, li
             r, c = cell
             # window cell (r, c) spans [8c-32, 8c-24) x [8r-32, 8r-24) in pixels
             bits[8 * r - 28, 8 * c - 28] = True
-        masks.append(BinaryMask.from_array(bits))
+        masks.append(BinaryMask(bits))
     return image, masks
 
 

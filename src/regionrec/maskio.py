@@ -2,9 +2,10 @@
 
 File formats:
 
-* PGM ``P5`` (binary) and ``P2`` (ASCII), maxval <= 255; written as P5.
+* PGM ``P5`` (binary) and ``P2`` (ASCII), maxval <= 255, read only.
 * Uncompressed run-length JSON ``{"size": [h, w], "counts": [...]}`` in
-  column-major order, first run counting false pixels.
+  column-major order, first run counting false pixels, at most
+  ``MAX_RLE_PIXELS`` pixels.
 * Mask record collections as JSON lines, one object per line:
   ``{"image_id": ..., "label": ..., "rle": {...}}``.  ``read_json_lines``
   reads these and the prediction files of ``metrics``.
@@ -17,70 +18,62 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MAX_RLE_PIXELS = 1 << 26  # 8192 x 8192, above any LVIS or SA-1B image
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+    """A read-only view of ``arr``; the caller's array stays writable."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
 class RasterImage:
-    """Row-major intensity raster, values in [0, 255], 1 or 3 channels.
+    """Row-major single-plane intensity raster, values in [0, 255].
 
-    ``data`` has shape (height, width, channels) and dtype float64 so that
-    resampled images keep sub-integer precision; file I/O rounds.
+    ``data`` has shape (height, width) and dtype float64 so that resampled
+    images keep sub-integer precision.
     """
 
-    width: int
-    height: int
-    channels: int
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be >= 1")
-        if self.channels not in (1, 3):
-            raise ValueError("channels must be 1 or 3")
         data = np.asarray(self.data, dtype=np.float64)
-        if data.shape != (self.height, self.width, self.channels):
-            raise ValueError(
-                f"data shape {data.shape} != {(self.height, self.width, self.channels)}"
-            )
+        if data.ndim != 2 or data.size == 0:
+            raise ValueError(f"image data must be a non-empty 2-D array, got shape {data.shape}")
         object.__setattr__(self, "data", _readonly(data))
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "RasterImage":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
-        h, w, c = arr.shape
-        return cls(width=w, height=h, channels=c, data=arr)
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
 
-    def plane(self) -> np.ndarray:
-        return self.data[:, :, 0]
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
 class BinaryMask:
     """2-D boolean raster; empty masks are rejected at construction."""
 
-    width: int
-    height: int
     bits: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=bool)
-        if bits.shape != (self.height, self.width):
-            raise ValueError(f"bits shape {bits.shape} != {(self.height, self.width)}")
+        if bits.ndim != 2:
+            raise ValueError(f"mask bits must be a 2-D array, got shape {bits.shape}")
         if not bits.any():
             raise ValueError("mask has no true bits")
         object.__setattr__(self, "bits", _readonly(bits))
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "BinaryMask":
-        arr = np.asarray(arr, dtype=bool)
-        h, w = arr.shape
-        return cls(width=w, height=h, bits=arr)
+    @property
+    def height(self) -> int:
+        return self.bits.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.bits.shape[1]
 
     def area(self) -> int:
         return int(self.bits.sum())
@@ -88,11 +81,7 @@ class BinaryMask:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryMask):
             return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and bool(np.array_equal(self.bits, other.bits))
-        )
+        return bool(np.array_equal(self.bits, other.bits))
 
 
 @dataclass(frozen=True)
@@ -188,17 +177,7 @@ def read_pgm(path) -> RasterImage:
     if arr.min() < 0 or arr.max() > maxval:
         raise ValueError("pgm parse error: pixel value outside 0..maxval")
 
-    return RasterImage(width=width, height=height, channels=1, data=arr.reshape(height, width, 1))
-
-
-def write_pgm(image: RasterImage, path) -> None:
-    """Write a single-channel image as P5."""
-    if image.channels != 1:
-        raise ValueError("pgm supports single-channel images only")
-    vals = np.clip(np.rint(image.plane()), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{image.width} {image.height}\n255\n".encode("ascii"))
-        fh.write(vals.tobytes())
+    return RasterImage(arr.reshape(height, width))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +199,8 @@ def mask_from_rle(rle) -> BinaryMask:
     if len(size) != 2 or not all(type(v) is int for v in size + counts):
         raise ValueError("rle parse error: size must be two integers and counts a list of integers")
     h, w = size
+    if not (h >= 1 and w >= 1 and h * w <= MAX_RLE_PIXELS):
+        raise ValueError(f"rle size error: {h}x{w}, each side must be >= 1 and h*w <= {MAX_RLE_PIXELS}")
     if any(c < 0 for c in counts):
         raise ValueError("rle value error: negative count")
     total = sum(counts)
@@ -227,7 +208,7 @@ def mask_from_rle(rle) -> BinaryMask:
         raise ValueError(f"rle length error: counts sum {total} != {h * w}")
     values = np.arange(len(counts)) % 2 == 1  # runs alternate false, true, ...
     flat = np.repeat(values, counts)
-    return BinaryMask(width=w, height=h, bits=flat.reshape((h, w), order="F"))
+    return BinaryMask(flat.reshape((h, w), order="F"))
 
 
 def mask_to_rle(mask: BinaryMask) -> str:

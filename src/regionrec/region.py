@@ -6,6 +6,7 @@ Coordinate conventions used throughout:
 * pixel (x, y) occupies the unit square [x, x+1) x [y, y+1); its centre is
   (x + 0.5, y + 0.5);
 * bounding boxes are half-open: x0/y0 inclusive, x1/y1 exclusive;
+* an image is one plane, a (height, width) array;
 * resampling is bilinear with half-pixel-centre alignment and reads 0
   outside the source image (crop windows are never shifted to fit).
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maskio import BinaryMask, RasterImage
+from .maskio import BinaryMask, RasterImage, _readonly
 
 
 @dataclass(frozen=True)
@@ -78,19 +79,15 @@ class CropWindow:
 class GridMask:
     """Boolean occupancy over the token grid; at least one cell is active."""
 
-    rows: int
-    cols: int
     active: np.ndarray
 
     def __post_init__(self):
         active = np.asarray(self.active, dtype=bool)
-        if active.shape != (self.rows, self.cols):
-            raise ValueError("active shape does not match rows x cols")
+        if active.ndim != 2:
+            raise ValueError(f"grid mask must be a 2-D array, got shape {active.shape}")
         if not active.any():
             raise ValueError("grid mask has no active cell")
-        active = active.copy()
-        active.flags.writeable = False
-        object.__setattr__(self, "active", active)
+        object.__setattr__(self, "active", _readonly(active.copy()))
 
 
 # ---------------------------------------------------------------------------
@@ -138,32 +135,32 @@ def _axis_taps(coords: np.ndarray, size: int):
 def _resample(image: RasterImage, xs: np.ndarray, ys: np.ndarray) -> RasterImage:
     """Sample at pixel-centre coordinates xs (one per output column) and ys
     (one per output row); taps outside the image read 0."""
-    h, w, c = image.data.shape
+    h, w = image.data.shape
     x0, x1, dx = _axis_taps(xs, w)
     y0, y1, dy = _axis_taps(ys, h)
 
     # the distinct source rows the vertical taps read, zero-padded by one
     # row (index h) and one column (index w)
     rows, which = np.unique(np.concatenate([y0, y1]), return_inverse=True)
-    src = np.zeros((len(rows), w + 1, c))
+    src = np.zeros((len(rows), w + 1))
     inside = rows < h
     src[inside, :w] = image.data[rows[inside]]
 
     # left * (1 - dx) + right * dx, then top * (1 - dy) + bot * dy, computed
     # in place: the same float operations with two temporaries, not five
-    wx = dx[None, :, None]
+    wx = dx[None, :]
     horiz = src[:, x0]
     horiz *= 1.0 - wx
     right = src[:, x1]
     right *= wx
     horiz += right
-    wy = dy[:, None, None]
+    wy = dy[:, None]
     out = horiz[which[: len(ys)]]
     out *= 1.0 - wy
     bot = horiz[which[len(ys) :]]
     bot *= wy
     out += bot
-    return RasterImage.from_array(out)
+    return RasterImage(out)
 
 
 def extract_and_resize(image: RasterImage, window: CropWindow, out_side: int) -> RasterImage:
@@ -218,7 +215,7 @@ def downsample_to_grid(mask: BinaryMask, window: CropWindow, rows: int, cols: in
         c = int(np.clip(math.floor((mx - window.x0) * cols / window.side), 0, cols - 1))
         r = int(np.clip(math.floor((my - window.y0) * rows / window.side), 0, rows - 1))
         active[r, c] = True
-    return GridMask(rows=rows, cols=cols, active=active)
+    return GridMask(active)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared test helpers: independent oracles and seeded generators.
+"""Shared test helpers: independent oracles, seeded generators, and the
+PGM and DEC0 writers that only tests use.
 
 The oracles here deliberately re-derive everything from first principles
 (per-position tables built by scanning segments, pairwise rule predicates,
@@ -6,6 +7,8 @@ per-pixel loops) so they share no code path with the implementations they
 check.
 """
 
+import json
+import struct
 import sys
 from pathlib import Path
 
@@ -14,8 +17,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from regionrec import decoder
 from regionrec.attnmask import Segment, SequenceLayout
-from regionrec.maskio import BinaryMask
+from regionrec.maskio import BinaryMask, RasterImage
 
 # kind codes local to the oracle
 O_IMAGE, O_TEXT, O_SEP, O_MASK, O_OUT = range(5)
@@ -83,7 +87,7 @@ def random_mask(rng: np.random.Generator, w: int, h: int, p: float = 0.2) -> Bin
     bits = rng.random((h, w)) < p
     if not bits.any():
         bits[rng.integers(h), rng.integers(w)] = True
-    return BinaryMask.from_array(bits)
+    return BinaryMask(bits)
 
 
 def oracle_grid_cells(mask: BinaryMask, window, rows: int, cols: int) -> np.ndarray:
@@ -117,6 +121,37 @@ def oracle_bilinear(plane: np.ndarray, x: float, y: float) -> float:
         + at(y0 + 1, x0) * (1 - dx) * dy
         + at(y0 + 1, x0 + 1) * dx * dy
     )
+
+
+def write_pgm(image: RasterImage, path) -> None:
+    """Write an image as P5, its values rounded and clipped to 0..255."""
+    vals = np.clip(np.rint(image.data), 0, 255).astype(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{image.width} {image.height}\n255\n".encode("ascii"))
+        fh.write(vals.tobytes())
+
+
+def _tensor(params, name: str) -> np.ndarray:
+    """The tensor a ``decoder._weight_layout`` name refers to."""
+    if name.startswith("blocks."):
+        _, i, field_name = name.split(".")
+        return getattr(params.blocks[int(i)], field_name)
+    return getattr(params, name)
+
+
+def save_decoder_params(params, blob_path, vocab_path) -> None:
+    """Write ``params`` as a DEC0 blob (the format ``decoder.load_decoder_params``
+    reads) and the vocabulary as a JSON array."""
+    layout = decoder._weight_layout(len(params.vocab), params.dim, params.layers, params.enc_dim, params.max_len)
+    with open(blob_path, "wb") as fh:
+        fh.write(decoder._MAGIC)
+        fh.write(struct.pack("<HBB", params.dim, params.heads, params.layers))
+        fh.write(struct.pack("<IIII", len(params.vocab), params.max_len, params.enc_dim, 1))
+        for name, _, _ in layout:
+            fh.write(np.asarray(_tensor(params, name)).astype("<f4").tobytes())
+    with open(vocab_path, "w", encoding="ascii") as fh:
+        json.dump(list(params.vocab), fh)
+        fh.write("\n")
 
 
 @pytest.fixture

@@ -14,9 +14,11 @@ import pytest
 from regionrec import cli, decoder, harness, prompt
 from regionrec.attnmask import canonical_layout
 from regionrec.encoder import EncoderParams
-from regionrec.maskio import BinaryMask, MaskRecord, RasterImage, write_pgm, write_records
+from regionrec.maskio import MAX_RLE_PIXELS, BinaryMask, MaskRecord, RasterImage, write_records
 from regionrec.metrics import TrigramHashProvider
 from regionrec.region import resize_image
+
+from conftest import save_decoder_params, write_pgm
 
 
 def run(argv) -> int:
@@ -31,13 +33,13 @@ def run(argv) -> int:
 def files(tmp_path):
     """A 32x32 image, two labelled masks on it, and good and bad predictions."""
     rng = np.random.default_rng(5)
-    write_pgm(RasterImage.from_array(rng.random((32, 32)) * 255), tmp_path / "img.pgm")
+    write_pgm(RasterImage(rng.random((32, 32)) * 255), tmp_path / "img.pgm")
     square = np.zeros((32, 32), bool)
     square[4:12, 6:14] = True
     band = np.zeros((32, 32), bool)
     band[20:26, :] = True
     write_records(
-        [MaskRecord(BinaryMask.from_array(square), "img", "cat"), MaskRecord(BinaryMask.from_array(band), "img", "dog")],
+        [MaskRecord(BinaryMask(square), "img", "cat"), MaskRecord(BinaryMask(band), "img", "dog")],
         tmp_path / "masks.jsonl",
     )
     preds = [{"image_id": "img", "mask_index": 0, "pred": "cat", "gold": "cat"},
@@ -183,7 +185,7 @@ def _pipeline_files(d):
     def square(side):
         bits = np.zeros((32, 32), bool)
         bits[:side, :side] = True
-        return BinaryMask.from_array(bits)
+        return BinaryMask(bits)
 
     records = [MaskRecord(square(8), "a", "cat"), MaskRecord(square(6), "b", "cat"),
                MaskRecord(square(5), "c", "cat"), MaskRecord(square(7), "d", "dog"),
@@ -256,7 +258,7 @@ def test_decoder_params_file_round_trip(files, monkeypatch, capsys):
                         or real_decode(batch, text_ids, params, **kw))
     assert run(argv) == 0
     seeded = capsys.readouterr().out
-    decoder.save_decoder_params(used[0], files / "dec.bin", files / "vocab.json")
+    save_decoder_params(used[0], files / "dec.bin", files / "vocab.json")
     assert _digest((files / "dec.bin").read_bytes()) == "53779dccfe354d16"
     assert run(argv + ["--params", str(files / "dec.bin"), "--vocab", str(files / "vocab.json")]) == 0
     assert capsys.readouterr().out == seeded
@@ -275,13 +277,13 @@ def test_decode_output_is_pinned(variant, digest, files, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
 
 
-_IMAGE = RasterImage.from_array(np.zeros((4, 4)))
+_IMAGE = RasterImage(np.zeros((4, 4)))
 _PARAMS = decoder.DecoderParams.seeded(0, decoder.make_vocab([]), dim=8, layers=1, max_len=4)
 
 
 def _small_dec0(directory, edit):
     """A seeded decoder saved as DEC0, with ``edit`` applied to the blob bytes."""
-    decoder.save_decoder_params(_PARAMS, directory / "dec.bin", directory / "vocab.json")
+    save_decoder_params(_PARAMS, directory / "dec.bin", directory / "vocab.json")
     blob = (directory / "dec.bin").read_bytes()
     (directory / "dec.bin").write_bytes(edit(blob))
     return ["--params", str(directory / "dec.bin"), "--vocab", str(directory / "vocab.json")]
@@ -308,7 +310,7 @@ def test_decoder_blob_flags_other_than_1_exit_2(flags, files, capsys):
 def test_capacity_error_names_limit(files, capsys):
     """The mask cap is checked on the records, before any encoding."""
     image, masks = ["--image", str(files / "img.pgm")], ["--masks", str(files / "many.jsonl")]
-    many = [MaskRecord(BinaryMask.from_array(np.eye(32, dtype=bool)), "img", None)] * (prompt.MAX_MASKS + 1)
+    many = [MaskRecord(BinaryMask(np.eye(32, dtype=bool)), "img", None)] * (prompt.MAX_MASKS + 1)
     write_records(many, files / "many.jsonl")
     assert run(["tokenize", *image, *masks, "--out-dir", str(files / "tok")]) == 2
     _assert_one_line_input_error(capsys, "capacity error", "31 masks", "max_masks=30")
@@ -321,7 +323,8 @@ def test_capacity_error_names_limit(files, capsys):
     "build",
     [lambda: TrigramHashProvider(dim=0), lambda: resize_image(_IMAGE, 0, 4), lambda: resize_image(_IMAGE, 4, 0),
      lambda: EncoderParams.seeded(0, dim=0), lambda: dataclasses.replace(_PARAMS, heads=0),
-     lambda: dataclasses.replace(_PARAMS, dim=0), lambda: dataclasses.replace(_PARAMS, enc_dim=0)],
+     lambda: dataclasses.replace(_PARAMS, embed=_PARAMS.embed[:, :0]),
+     lambda: dataclasses.replace(_PARAMS, adapter=_PARAMS.adapter[:0])],
     ids=["provider-dim", "resize-width", "resize-height", "encoder-dim", "decoder-heads", "decoder-dim",
          "decoder-enc-dim"],
 )
@@ -431,6 +434,20 @@ def test_an_rle_value_that_is_not_an_integer_exits_2(rle, files, capsys):
     (files / "odd.jsonl").write_text(f'{{"image_id": "img", "label": "cat", "rle": {rle}}}\n')
     assert run(["pipeline", "--records", str(files / "odd.jsonl")]) == 2
     _assert_one_line_input_error(capsys, "line 1", "integers")
+
+
+@pytest.mark.parametrize(
+    "size, counts",
+    [([1 << 62, 4], [1 << 64]), ([MAX_RLE_PIXELS // 8192 + 1, 8192], [0, MAX_RLE_PIXELS + 8192]),
+     ([-2, -2], [0, 4]), ([0, 5], [0])],
+    ids=["int64-overflow", "one-row-over-the-cap", "negative", "zero-height"],
+)
+def test_an_rle_size_outside_the_pixel_cap_exits_2(size, counts, files, capsys):
+    """The size is checked before anything of h*w pixels is allocated."""
+    rle = json.dumps({"size": size, "counts": counts})
+    (files / "huge.jsonl").write_text(f'{{"image_id": "img", "label": "cat", "rle": {rle}}}\n')
+    assert run(["pipeline", "--records", str(files / "huge.jsonl")]) == 2
+    _assert_one_line_input_error(capsys, "line 1", "rle size error", str(MAX_RLE_PIXELS))
 
 
 def test_maskviz_rejects_a_layout_longer_than_the_decoder_takes(capsys):

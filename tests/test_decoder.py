@@ -148,7 +148,7 @@ def random_batch(rng, mask_lens, grid_side=2) -> PromptBatch:
         cells = np.sort(rng.choice(grid_side * grid_side, size=m, replace=False))
         idx = np.stack([cells // grid_side, cells % grid_side], axis=1)
         sets.append(MaskTokenSet(tokens=rng.normal(size=(m, ENC_DIM)), grid_indices=idx, mask_index=i))
-    grid = FeatureGrid(grid_side, grid_side, ENC_DIM, rng.normal(size=(grid_side, grid_side, ENC_DIM)))
+    grid = FeatureGrid(rng.normal(size=(grid_side, grid_side, ENC_DIM)))
     return PromptBatch(image_tokens=grid, mask_token_sets=tuple(sets))
 
 

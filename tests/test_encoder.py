@@ -7,7 +7,7 @@ from regionrec.maskio import RasterImage
 
 def test_zero_image_gives_zero_grid():
     params = EncoderParams.seeded(1, patch_side=4, dim=8)
-    img = RasterImage.from_array(np.zeros((16, 16)))
+    img = RasterImage(np.zeros((16, 16)))
     grid = encode(img, params)
     assert grid.rows == grid.cols == 4
     assert np.array_equal(grid.values, np.zeros((4, 4, 8)))
@@ -15,7 +15,7 @@ def test_zero_image_gives_zero_grid():
 
 def test_encode_is_deterministic(rng):
     params = EncoderParams.seeded(5, patch_side=4, dim=8)
-    img = RasterImage.from_array(rng.integers(0, 256, (16, 16)).astype(float))
+    img = RasterImage(rng.integers(0, 256, (16, 16)).astype(float))
     a = encode(img, params)
     b = encode(img, params)
     assert np.array_equal(a.values, b.values)
@@ -24,9 +24,9 @@ def test_encode_is_deterministic(rng):
 def test_single_patch_hand_oracle():
     # patch_side=2, dim=3, known projection: one 12-step dot product by hand
     proj = np.arange(12, dtype=float).reshape(4, 3) / 10.0
-    params = EncoderParams(patch_side=2, dim=3, channels=1, projection=proj)
+    params = EncoderParams(patch_side=2, projection=proj)
     pixels = np.array([[51.0, 102.0], [153.0, 204.0]])
-    img = RasterImage.from_array(pixels)
+    img = RasterImage(pixels)
     grid = encode(img, params)
     v = pixels.reshape(-1) / 255.0  # [0.2, 0.4, 0.6, 0.8]
     expected = [sum(v[i] * proj[i, d] for i in range(4)) for d in range(3)]
@@ -36,8 +36,8 @@ def test_single_patch_hand_oracle():
 def test_linearity_in_intensity(rng):
     params = EncoderParams.seeded(2, patch_side=4, dim=6)
     base = rng.integers(0, 64, (16, 16)).astype(float)
-    a = encode(RasterImage.from_array(base), params).values
-    b = encode(RasterImage.from_array(base * 3.0), params).values
+    a = encode(RasterImage(base), params).values
+    b = encode(RasterImage(base * 3.0), params).values
     assert np.allclose(b, 3.0 * a, rtol=1e-6, atol=1e-12)
 
 
@@ -45,8 +45,8 @@ def test_shared_weight_alignment(rng):
     # identical pixel content encodes identically regardless of how it arrived
     params = EncoderParams.seeded(3, patch_side=4, dim=8)
     content = rng.integers(0, 256, (16, 16)).astype(float)
-    as_global = RasterImage.from_array(content)
-    as_crop = RasterImage.from_array(content.copy())
+    as_global = RasterImage(content)
+    as_crop = RasterImage(content.copy())
     assert np.array_equal(encode(as_global, params).values, encode(as_crop, params).values)
 
 
@@ -67,18 +67,18 @@ def test_fan_in_scaled_init_range():
 def test_indivisible_side_is_shape_error():
     params = EncoderParams.seeded(1, patch_side=5, dim=4)
     with pytest.raises(ValueError, match="shape"):
-        encode(RasterImage.from_array(np.zeros((16, 16))), params)
+        encode(RasterImage(np.zeros((16, 16))), params)
 
 
 def test_nonsquare_rejected():
     params = EncoderParams.seeded(1, patch_side=4, dim=4)
     with pytest.raises(ValueError, match="square"):
-        encode(RasterImage.from_array(np.zeros((16, 8))), params)
+        encode(RasterImage(np.zeros((16, 8))), params)
 
 
 def test_feature_grid_rejects_nonfinite():
     with pytest.raises(ValueError, match="finite"):
-        FeatureGrid(rows=1, cols=1, dim=2, values=np.array([[[np.nan, 0.0]]]))
+        FeatureGrid(np.array([[[np.nan, 0.0]]]))
 
 
 def test_seeded_projection_is_float32_representable():

@@ -55,7 +55,7 @@ def test_scaling_bench_rejects_bad_k_values(k_values):
 def _record(n_true: int, image_id: str = "img", label: str | None = "cat", side: int = 10) -> MaskRecord:
     bits = np.zeros(side * side, dtype=bool)
     bits[:n_true] = True
-    return MaskRecord(mask=BinaryMask.from_array(bits.reshape(side, side)), image_id=image_id, label=label)
+    return MaskRecord(mask=BinaryMask(bits.reshape(side, side)), image_id=image_id, label=label)
 
 
 def _stage1(records, min_ratio):

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from regionrec.encoder import FeatureGrid
 from regionrec.maskio import (
+    MAX_RLE_PIXELS,
     BinaryMask,
     MaskRecord,
     RasterImage,
@@ -11,19 +13,19 @@ from regionrec.maskio import (
     mask_to_rle,
     read_pgm,
     read_records,
-    write_pgm,
     write_records,
 )
+from regionrec.region import GridMask
 
-from conftest import random_mask
+from conftest import random_mask, write_pgm
 
 
 def test_read_p5_direct_byte_copy(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 64]))
     img = read_pgm(path)
-    assert (img.width, img.height, img.channels) == (2, 2, 1)
-    assert img.plane().ravel().tolist() == [0, 255, 128, 64]
+    assert (img.width, img.height) == (2, 2)
+    assert img.data.ravel().tolist() == [0, 255, 128, 64]
 
 
 def test_read_p2_single_pixel(tmp_path):
@@ -31,7 +33,7 @@ def test_read_p2_single_pixel(tmp_path):
     path.write_bytes(b"P2 1 1 255 200")
     img = read_pgm(path)
     assert (img.width, img.height) == (1, 1)
-    assert img.plane()[0, 0] == 200
+    assert img.data[0, 0] == 200
 
 
 def test_truncated_p5_is_length_error(tmp_path):
@@ -67,12 +69,12 @@ def test_pgm_comments_are_skipped(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P2 # comment\n2 1 # size\n255\n7 9")
     img = read_pgm(path)
-    assert img.plane().ravel().tolist() == [7, 9]
+    assert img.data.ravel().tolist() == [7, 9]
 
 
 def test_pgm_round_trip(tmp_path, rng):
     arr = rng.integers(0, 256, size=(5, 7)).astype(np.float64)
-    img = RasterImage.from_array(arr)
+    img = RasterImage(arr)
     path = tmp_path / "img.pgm"
     write_pgm(img, path)
     assert path.read_bytes().startswith(b"P5\n7 5\n255\n")
@@ -113,7 +115,29 @@ def test_rle_round_trip_fuzz(rng):
 
 def test_empty_mask_rejected():
     with pytest.raises(ValueError, match="true bits"):
-        BinaryMask.from_array(np.zeros((3, 3), dtype=bool))
+        BinaryMask(np.zeros((3, 3), dtype=bool))
+
+
+def test_rle_size_up_to_the_pixel_cap_is_accepted():
+    mask = mask_from_rle({"size": [1, MAX_RLE_PIXELS], "counts": [MAX_RLE_PIXELS - 1, 1]})
+    assert (mask.height, mask.width, mask.area()) == (1, MAX_RLE_PIXELS, 1)
+    with pytest.raises(ValueError, match="rle size error"):
+        mask_from_rle({"size": [1, MAX_RLE_PIXELS + 1], "counts": [MAX_RLE_PIXELS, 1]})
+
+
+@pytest.mark.parametrize(
+    "build, arr",
+    [(RasterImage, np.ones((2, 2, 1))), (RasterImage, np.ones(4)), (RasterImage, np.ones((0, 3))),
+     (BinaryMask, np.ones((2, 2, 1), bool)), (BinaryMask, np.ones(4, bool)), (BinaryMask, np.ones((0, 3), bool)),
+     (FeatureGrid, np.ones((2, 2))), (FeatureGrid, np.ones((2, 2, 2, 1))), (FeatureGrid, np.ones((2, 2, 0))),
+     (GridMask, np.ones((2, 2, 1), bool)), (GridMask, np.ones(4, bool)), (GridMask, np.ones((3, 0), bool))],
+    ids=["image-3d", "image-1d", "image-empty", "mask-3d", "mask-1d", "mask-empty",
+         "grid-2d", "grid-4d", "grid-empty", "gridmask-3d", "gridmask-1d", "gridmask-empty"],
+)
+def test_an_array_of_the_wrong_rank_or_empty_is_rejected(build, arr):
+    """Sizes are read from the array, so its rank and extent are what is checked."""
+    with pytest.raises(ValueError):
+        build(arr)
 
 
 def test_records_jsonl_round_trip(tmp_path, rng):

@@ -10,19 +10,19 @@ from regionrec.maskio import BinaryMask, RasterImage
 from regionrec.prompt import MaskTokenSet, build_prompt_batch, dump_token_set, mask2token
 from regionrec.region import context_crop_window, downsample_to_grid, tight_bbox
 
-from conftest import oracle_grid_cells, random_mask
+from conftest import oracle_grid_cells, random_mask, write_pgm
 
 # small encoder so 448-sized crops are not needed: patch 4 * grid 16 = 64
 ENC = EncoderParams.seeded(7, patch_side=4, dim=8)
 
 
 def _image(rng, side=64):
-    return RasterImage.from_array(rng.integers(0, 256, (side, side)).astype(float))
+    return RasterImage(rng.integers(0, 256, (side, side)).astype(float))
 
 
 def test_full_window_mask_gives_256_tokens(rng):
     img = _image(rng)
-    mask = BinaryMask.from_array(np.ones((64, 64), bool))
+    mask = BinaryMask(np.ones((64, 64), bool))
     ts = mask2token(img, mask, ENC, scale=1.0)
     assert ts.count == 256
 
@@ -31,7 +31,7 @@ def test_point_mask_gives_one_token(rng):
     img = _image(rng)
     bits = np.zeros((64, 64), bool)
     bits[20, 41] = True
-    ts = mask2token(img, BinaryMask.from_array(bits), ENC)
+    ts = mask2token(img, BinaryMask(bits), ENC)
     assert ts.count == 1
 
 
@@ -88,7 +88,7 @@ def test_each_batch_set_equals_mask2token_alone(rng):
 
 def test_mask_of_another_size_is_rejected(rng):
     img = _image(rng)
-    wrong = BinaryMask.from_array(np.ones((10, 200), bool))
+    wrong = BinaryMask(np.ones((10, 200), bool))
     with pytest.raises(ValueError, match="shape"):
         mask2token(img, wrong, ENC)
     with pytest.raises(ValueError, match="shape"):
@@ -97,11 +97,11 @@ def test_mask_of_another_size_is_rejected(rng):
 
 def test_cli_tokenize_exits_2_on_mask_of_another_size(tmp_path, capsys):
     from regionrec import cli
-    from regionrec.maskio import MaskRecord, write_pgm, write_records
+    from regionrec.maskio import MaskRecord, write_records
 
-    write_pgm(RasterImage.from_array(np.zeros((64, 64))), tmp_path / "img.pgm")
-    ok = MaskRecord(BinaryMask.from_array(np.ones((64, 64), bool)), "img")
-    wrong = MaskRecord(BinaryMask.from_array(np.ones((10, 200), bool)), "img")
+    write_pgm(RasterImage(np.zeros((64, 64))), tmp_path / "img.pgm")
+    ok = MaskRecord(BinaryMask(np.ones((64, 64), bool)), "img")
+    wrong = MaskRecord(BinaryMask(np.ones((10, 200), bool)), "img")
     argv = ["tokenize", "--image", str(tmp_path / "img.pgm"), "--out-dir", str(tmp_path / "out")]
 
     write_records([ok], tmp_path / "ok.jsonl")

@@ -45,11 +45,10 @@ def ref_bilinear_sample(plane, xs, ys):
 
 
 def ref_resample(image, xs, ys):
-    """Per-channel sampling on the repeated (out_h, out_w) coordinate grids."""
+    """Sampling on the repeated (out_h, out_w) coordinate grids."""
     gx = xs[None, :].repeat(len(ys), axis=0)
     gy = ys[:, None].repeat(len(xs), axis=1)
-    planes = [ref_bilinear_sample(image.data[:, :, c], gx, gy) for c in range(image.channels)]
-    return np.stack(planes, axis=-1)
+    return ref_bilinear_sample(image.data, gx, gy)
 
 
 def ref_extract_and_resize(image, window, out_side):
@@ -88,9 +87,8 @@ def ref_downsample_to_grid(mask, window, rows, cols):
     return active
 
 
-def _random_image(rng, h, w, channels=1):
-    shape = (h, w) if channels == 1 else (h, w, channels)
-    return RasterImage.from_array(rng.random(shape) * 255)
+def _random_image(rng, h, w):
+    return RasterImage(rng.random((h, w)) * 255)
 
 
 def _random_window(rng, w, h, out_side):
@@ -114,7 +112,7 @@ def _mask_from_points(points, w, h):
     bits = np.zeros((h, w), dtype=bool)
     for x, y in points:
         bits[y, x] = True
-    return BinaryMask.from_array(bits)
+    return BinaryMask(bits)
 
 
 # -- tight_bbox -------------------------------------------------------------
@@ -125,7 +123,7 @@ def test_bbox_point_mask():
 
 
 def test_bbox_full_mask():
-    assert tight_bbox(BinaryMask.from_array(np.ones((10, 10), bool))) == BBox(0, 0, 10, 10)
+    assert tight_bbox(BinaryMask(np.ones((10, 10), bool))) == BBox(0, 0, 10, 10)
 
 
 def test_bbox_scans_all_true_bits():
@@ -174,35 +172,35 @@ def test_window_scale_not_finite_rejected(scale):
 
 
 def test_resize_preserves_constants():
-    img = RasterImage.from_array(np.full((9, 9), 77.0))
+    img = RasterImage(np.full((9, 9), 77.0))
     win = CropWindow(center_x=4.5, center_y=4.5, side=7)
     out = extract_and_resize(img, win, 5)
-    assert np.allclose(out.plane(), 77.0)
+    assert np.allclose(out.data, 77.0)
 
 
 def test_identity_resize():
     arr = np.arange(36, dtype=float).reshape(6, 6)
-    img = RasterImage.from_array(arr)
+    img = RasterImage(arr)
     win = CropWindow(center_x=3.0, center_y=3.0, side=6)
     out = extract_and_resize(img, win, 6)
-    assert np.allclose(out.plane(), arr)
+    assert np.allclose(out.data, arr)
 
 
 def test_upsample_matches_scalar_oracle():
     arr = np.array([[0.0, 255.0], [255.0, 0.0]])
-    img = RasterImage.from_array(arr)
+    img = RasterImage(arr)
     win = CropWindow(center_x=1.0, center_y=1.0, side=2)
     out = extract_and_resize(img, win, 4)
     for r in range(4):
         for c in range(4):
             x = win.x0 + (c + 0.5) * 2 / 4 - 0.5
             y = win.y0 + (r + 0.5) * 2 / 4 - 0.5
-            assert out.plane()[r, c] == pytest.approx(oracle_bilinear(arr, x, y), rel=1e-6, abs=1e-9)
+            assert out.data[r, c] == pytest.approx(oracle_bilinear(arr, x, y), rel=1e-6, abs=1e-9)
 
 
 def test_corner_window_zero_pads_like_hand_padded_reference(rng):
     arr = rng.random((8, 8)) * 255
-    img = RasterImage.from_array(arr)
+    img = RasterImage(arr)
     box = BBox(0, 0, 2, 2)
     win = context_crop_window(box, 3.0, 8, 8)  # extends past the top-left corner
     out = extract_and_resize(img, win, 6)
@@ -211,29 +209,27 @@ def test_corner_window_zero_pads_like_hand_padded_reference(rng):
     canvas = np.zeros((8 + 2 * pad, 8 + 2 * pad))
     canvas[pad : pad + 8, pad : pad + 8] = arr
     ref_win = CropWindow(center_x=win.center_x + pad, center_y=win.center_y + pad, side=win.side)
-    ref = extract_and_resize(RasterImage.from_array(canvas), ref_win, 6)
-    assert np.allclose(out.plane(), ref.plane(), atol=1e-12)
+    ref = extract_and_resize(RasterImage(canvas), ref_win, 6)
+    assert np.allclose(out.data, ref.data, atol=1e-12)
 
 
 def test_resize_image_square_stretch():
     arr = np.arange(12, dtype=float).reshape(3, 4)
-    out = resize_image(RasterImage.from_array(arr), 4, 4)
+    out = resize_image(RasterImage(arr), 4, 4)
     assert (out.width, out.height) == (4, 4)
     for r in range(4):
         for c in range(4):
             x = (c + 0.5) * 4 / 4 - 0.5
             y = (r + 0.5) * 3 / 4 - 0.5
-            assert out.plane()[r, c] == pytest.approx(oracle_bilinear(arr, x, y), abs=1e-9)
+            assert out.data[r, c] == pytest.approx(oracle_bilinear(arr, x, y), abs=1e-9)
 
 
 @pytest.mark.parametrize(
-    "h,w,channels",
-    [(48, 64, 1), (48, 64, 3), (1, 30, 1), (30, 1, 1), (1, 1, 3)],
-    ids=["gray", "rgb", "one-row", "one-column", "one-pixel-rgb"],
+    "h,w", [(48, 64), (1, 30), (30, 1)], ids=["gray", "one-row", "one-column"]
 )
 @pytest.mark.parametrize("out_side", [1, 7, 16])
-def test_extract_matches_reference_bit_for_bit(rng, h, w, channels, out_side):
-    img = _random_image(rng, h, w, channels)
+def test_extract_matches_reference_bit_for_bit(rng, h, w, out_side):
+    img = _random_image(rng, h, w)
     for _ in range(40):
         win = _random_window(rng, w, h, out_side)
         out = extract_and_resize(img, win, out_side)
@@ -241,16 +237,15 @@ def test_extract_matches_reference_bit_for_bit(rng, h, w, channels, out_side):
 
 
 def test_extract_wholly_outside_reads_zero():
-    img = RasterImage.from_array(np.full((8, 8, 3), 9.0))
+    img = RasterImage(np.full((8, 8), 9.0))
     out = extract_and_resize(img, CropWindow(center_x=-50.0, center_y=20.5, side=5), 4)
-    assert out.data.shape == (4, 4, 3) and not out.data.any()
+    assert out.data.shape == (4, 4) and not out.data.any()
 
 
-@pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("out_w,out_h", [(64, 64), (5, 3), (1, 1), (97, 13), (20, 150)])
-def test_resize_image_matches_reference_bit_for_bit(rng, channels, out_w, out_h):
+def test_resize_image_matches_reference_bit_for_bit(rng, out_w, out_h):
     for h, w in [(48, 64), (1, 9), (9, 1)]:
-        img = _random_image(rng, h, w, channels)
+        img = _random_image(rng, h, w)
         out = resize_image(img, out_w, out_h)
         assert np.array_equal(out.data, ref_resize_image(img, out_w, out_h))
 
@@ -263,7 +258,7 @@ def _window_for(mask, scale=1.0):
 
 
 def test_grid_full_mask_all_cells_active():
-    mask = BinaryMask.from_array(np.ones((64, 64), bool))
+    mask = BinaryMask(np.ones((64, 64), bool))
     gm = downsample_to_grid(mask, _window_for(mask), 16, 16)
     assert int(gm.active.sum()) == 256
 
@@ -302,7 +297,7 @@ def test_grid_centroid_fallback_matches_oracle(rng):
     bits = np.zeros((40, 60), bool)
     bits[30:36, 41:58] = rng.random((6, 17)) < 0.5
     bits[31, 44] = True
-    mask = BinaryMask.from_array(bits)
+    mask = BinaryMask(bits)
     misses = (CropWindow(center_x=5.5, center_y=4.0, side=6), CropWindow(center_x=50.0, center_y=-9.0, side=3))
     for win in misses:
         gm = downsample_to_grid(mask, win, 16, 16)
@@ -314,7 +309,7 @@ def test_grid_monotone_under_union(rng):
     for _ in range(20):
         m1 = random_mask(rng, 32, 32, p=0.05)
         m2 = random_mask(rng, 32, 32, p=0.05)
-        union = BinaryMask.from_array(m1.bits | m2.bits)
+        union = BinaryMask(m1.bits | m2.bits)
         win = CropWindow(center_x=16.0, center_y=16.0, side=32)
         g1 = downsample_to_grid(m1, win, 16, 16)
         gu = downsample_to_grid(union, win, 16, 16)
