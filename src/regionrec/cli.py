@@ -117,12 +117,12 @@ def _cmd_decode(args) -> int:
 def _cmd_eval(args) -> int:
     pairs = metrics.read_predictions(args.pred)
     provider = metrics.TrigramHashProvider(dim=args.provider_dim)
+    vocabulary = ()
     if args.vocab_file:
         vocabulary = [ln.strip() for ln in Path(args.vocab_file).read_text().splitlines() if ln.strip()]
         if not vocabulary:
             raise ValueError(f"vocabulary file {args.vocab_file} holds no entry")
-        pairs = [(p, g, vocabulary) for p, g in pairs]
-    report = metrics.evaluate(pairs, provider)
+    report = metrics.evaluate(pairs, provider, vocabulary)
     _emit(args, report.to_json())
     return 0
 
@@ -134,8 +134,6 @@ def _cmd_bench(args) -> int:
     enc = EncoderParams.seeded(args.seed, dim=args.enc_dim)
     dec = bench_decoder_params(seed=args.seed, enc_dim=args.enc_dim)
     report = run_scaling_bench(k_values, image, masks, enc, dec, text_len=args.text_len, repeats=args.repeats)
-    if args.csv:
-        Path(args.csv).write_text(report.to_csv())
     _emit(args, report.to_json())
     return 0
 
@@ -211,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=5, help="timed passes per K; 0 omits wall times (default 5)")
     p.add_argument("--text-len", type=int, default=harness.BENCH_TEXT_LEN)
     p.add_argument("--enc-dim", type=int, default=16)
-    p.add_argument("--csv", help="also write rows as CSV")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("pipeline", help="area-ratio filter plus oracle re-query")

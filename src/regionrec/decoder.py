@@ -121,6 +121,11 @@ class DecoderParams:
     def enc_dim(self) -> int:
         return self.adapter.shape[0]
 
+    def check_length(self, n: int) -> None:
+        """Reject a sequence of more than ``max_len`` positions."""
+        if n > self.max_len:
+            raise ValueError(f"sequence length {n} exceeds max_len {self.max_len}")
+
     def token_id(self, token: str) -> int:
         try:
             return self.vocab.index(token)
@@ -305,8 +310,7 @@ def _attention(x_norm: np.ndarray, block: LayerWeights, heads: int, attn_blocks)
 def embed_sequence(seq: TokenSequence, params: DecoderParams) -> np.ndarray:
     """Vocab embeddings and adapter-projected injections, plus absolute positions."""
     n = seq.n
-    if n > params.max_len:
-        raise ValueError(f"sequence length {n} exceeds max_len {params.max_len}")
+    params.check_length(n)
     ids = seq.ids
     if ids.max(initial=-1) >= len(params.vocab):
         raise ValueError("vocab error: token id out of range")
@@ -351,7 +355,10 @@ def assemble_sequence(
 
     ``image_values``/``mask_values`` are injected feature rows; separators
     get the sep token; output slots are padded beyond the provided gold ids.
+    A layout longer than ``params.max_len`` is rejected before anything of
+    its length is allocated.
     """
+    params.check_length(layout.n)
     output_ids = output_ids or {}
     n = layout.n
     ids = np.full(n, params.pad_id, dtype=np.int64)

@@ -146,15 +146,8 @@ class ScalingRow:
         return self.decoder_flops / self.total_flops
 
 
-# (name, CSV format) of each written column; wall_time_ms only when timed
-_COLUMNS = (
-    ("k", "d"),
-    ("total_flops", "d"),
-    ("encoder_share", ".6f"),
-    ("decoder_share", ".6f"),
-    ("comparator_flops", "d"),
-    ("wall_time_ms", ".3f"),
-)
+# the columns of each row; wall_time_ms only when timed
+_COLUMNS = ("k", "total_flops", "encoder_share", "decoder_share", "comparator_flops", "wall_time_ms")
 
 
 @dataclass(frozen=True)
@@ -166,26 +159,17 @@ class ScalingReport:
         if any(b < a for a, b in zip(totals, totals[1:])):
             raise ValueError("total_flops must be monotone non-decreasing in K")
 
-    def _columns(self) -> tuple[tuple[str, str], ...]:
-        timed = all(r.wall_time_ms is not None for r in self.rows)
-        return _COLUMNS if timed else _COLUMNS[:-1]
-
     def to_json(self) -> str:
         first, last = self.rows[0], self.rows[-1]
+        columns = _COLUMNS if all(r.wall_time_ms is not None for r in self.rows) else _COLUMNS[:-1]
         return json.dumps(
             {
-                "rows": [{name: getattr(r, name) for name, _ in self._columns()} for r in self.rows],
+                "rows": [{name: getattr(r, name) for name in columns} for r in self.rows],
                 "growth_factor": last.total_flops / first.total_flops,
                 "comparator_growth_factor": last.comparator_flops / first.comparator_flops,
             },
             sort_keys=True,
         )
-
-    def to_csv(self) -> str:
-        columns = self._columns()
-        lines = [",".join(name for name, _ in columns)]
-        lines += [",".join(format(getattr(r, name), fmt) for name, fmt in columns) for r in self.rows]
-        return "\n".join(lines) + "\n"
 
 
 def check_k_values(k_values: list[int]) -> None:
@@ -209,7 +193,8 @@ def run_scaling_bench(
     Wall time covers prompt construction plus one decoder forward over the
     fully materialised layout; the median of ``repeats`` runs is reported.
     ``repeats=0`` runs no timed pass and leaves ``wall_time_ms`` None.
-    FLOP numbers come from the analytic model.
+    FLOP numbers come from the analytic model.  A layout longer than the
+    decoder's ``max_len`` is rejected, timed or not.
     """
     check_k_values(k_values)
     if max(k_values) > len(masks):
@@ -217,7 +202,6 @@ def run_scaling_bench(
     if repeats < 0:
         raise ValueError(f"input error: repeats must be >= 0, got {repeats}")
     config = CascadeConfig.full_cascade()
-    text_ids = [dec_params.token_id(START)] * text_len
 
     def one_pass(k: int):
         """Layout and cascade mask of the first k masks' prompt, and the
@@ -227,12 +211,14 @@ def run_scaling_bench(
         layout = canonical_layout(
             batch.image_tokens.rows * batch.image_tokens.cols, text_len, mask_lens, OUTPUT_SLOTS
         )
+        dec_params.check_length(layout.n)  # before the n x n mask
         attn = build_cascade_mask(layout, config)
         injected = sum(seg.length for seg in layout.segments if seg.kind in (IMAGE, MASK))
         flops = encoder_flops(k, enc_params), decoder_flops(layout.n, attn.visible_pairs(), injected, dec_params)
         return layout, attn, flops
 
     k1_total = sum(one_pass(1)[2])  # the one-mask-per-pass comparator costs K times this
+    text_ids = [dec_params.token_id(START)] * text_len
     rows = []
     for k in k_values:
         layout, attn, (enc_flops, dec_flops) = one_pass(k)

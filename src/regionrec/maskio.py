@@ -185,15 +185,13 @@ def read_pgm(path) -> RasterImage:
 # ---------------------------------------------------------------------------
 
 
-def mask_from_rle(rle) -> BinaryMask:
-    """Decode uncompressed RLE (column-major, leading false-run).
+def mask_from_rle(rle: dict) -> BinaryMask:
+    """Decode parsed uncompressed RLE (column-major, leading false-run).
 
-    Accepts the JSON text or an already-parsed dict.  ``size`` and
-    ``counts`` must hold integers: no float, string or boolean.
+    ``size`` and ``counts`` must hold integers: no float, string or boolean.
     """
-    obj = json.loads(rle) if isinstance(rle, (str, bytes)) else rle
     try:
-        size, counts = list(obj["size"]), list(obj["counts"])
+        size, counts = list(rle["size"]), list(rle["counts"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"rle parse error: {exc}") from None
     if len(size) != 2 or not all(type(v) is int for v in size + counts):
@@ -211,8 +209,9 @@ def mask_from_rle(rle) -> BinaryMask:
     return BinaryMask(flat.reshape((h, w), order="F"))
 
 
-def mask_to_rle(mask: BinaryMask) -> str:
-    """Encode to uncompressed RLE JSON text (round-trips bit-exactly)."""
+def mask_to_rle(mask: BinaryMask) -> dict:
+    """Encode to uncompressed RLE, ``{"size": [h, w], "counts": [...]}``
+    (round-trips bit-exactly)."""
     flat = mask.bits.ravel(order="F")
     # run boundaries; leading false-run is emitted even when zero-length
     changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
@@ -220,7 +219,7 @@ def mask_to_rle(mask: BinaryMask) -> str:
     counts = np.diff(bounds).tolist()
     if flat[0]:
         counts = [0] + counts
-    return json.dumps({"size": [mask.height, mask.width], "counts": counts})
+    return {"size": [mask.height, mask.width], "counts": counts}
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +232,7 @@ def record_to_json(record: MaskRecord) -> str:
         {
             "image_id": record.image_id,
             "label": record.label,
-            "rle": json.loads(mask_to_rle(record.mask)),
+            "rle": mask_to_rle(record.mask),
         }
     )
 

@@ -1,5 +1,5 @@
-"""Label evaluation: semantic similarity, word-set IoU, open-vocabulary
-matching, and corpus aggregation over a text-embedding provider.
+"""Label evaluation: semantic similarity, word-set IoU and open-vocabulary
+mask accuracy, averaged over a corpus by ``evaluate``.
 
 The offline provider hashes character trigrams (FNV-1a 64-bit over the
 UTF-8 bytes of the lowercased string, bucket = hash mod dim, +1 per
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class TrigramHashProvider:
     def __init__(self, dim: int = 256):
         if dim < 1:
             raise ValueError(f"provider dim must be >= 1, got {dim}")
-        self.name = f"trigram-fnv1a-{dim}"
         self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
@@ -73,29 +72,13 @@ class EvalReport:
             raise ValueError("scores must lie in [0, 100]")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "semantic_similarity": self.semantic_similarity,
-                "semantic_iou": self.semantic_iou,
-                "mask_acc": self.mask_acc,
-                "n": self.n,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _require_nonempty(label: str, side: str) -> str:
     if not label or not label.strip():
         raise ValueError(f"input error: empty {side} label")
     return label.strip()
-
-
-def semantic_similarity(pred: str, gold: str, provider) -> float:
-    """100 * max(0, cosine) between the two label embeddings."""
-    pred = _require_nonempty(pred, "pred")
-    gold = _require_nonempty(gold, "gold")
-    cos = float(np.dot(provider.embed(pred), provider.embed(gold)))
-    return 100.0 * max(0.0, cos)
 
 
 def _word_set(label: str) -> set[str]:
@@ -106,55 +89,47 @@ def semantic_iou(pred: str, gold: str) -> float:
     """Word-set intersection over union, 0..100.
 
     Normalisation: lowercase, split on whitespace/hyphen/underscore,
-    deduplicate.
+    deduplicate.  A label with no word left is an input error.
     """
-    p = _word_set(_require_nonempty(pred, "pred"))
-    g = _word_set(_require_nonempty(gold, "gold"))
+    p, g = _word_set(pred), _word_set(gold)
     if not p or not g:
         raise ValueError("input error: label empty after normalization")
     return 100.0 * len(p & g) / len(p | g)
 
 
-def open_vocab_classify(pred: str, vocabulary: list[str], provider) -> tuple[str, float]:
-    """Highest-cosine category for a predicted label; ties break to the
-    lowest vocabulary index."""
-    if not vocabulary:
-        raise ValueError("input error: empty vocabulary")
-    pred = _require_nonempty(pred, "pred")
-    pv = provider.embed(pred)
-    best_idx = 0
-    best_cos = -np.inf
-    for i, cat in enumerate(vocabulary):
-        cos = float(np.dot(pv, provider.embed(cat)))
-        if cos > best_cos:
-            best_idx, best_cos = i, cos
-    return vocabulary[best_idx], 100.0 * max(0.0, best_cos)
+def evaluate(pairs, provider, vocabulary=()) -> EvalReport:
+    """Mean metrics over (pred, gold) label pairs against an optional
+    vocabulary, a sequence of category names.
 
-
-def evaluate(pairs, provider) -> EvalReport:
-    """Mean metrics over (pred, gold) or (pred, gold, vocabulary) tuples.
-
-    mask_acc is the fraction of vocabulary-carrying instances whose matched
-    category equals the gold label, both stripped and lowercased as for the
-    similarity; omitted (None) when nothing carries one.
+    Each label is checked, stripped and embedded once.  The similarity is
+    100 * max(0, cosine) of the two embeddings.  With a vocabulary, each
+    entry is embedded once, a prediction matches the entry of highest
+    cosine (ties go to the lowest index), and mask_acc is the fraction of
+    pairs whose matched entry equals the gold label, both stripped and
+    lowercased; without one, mask_acc is None.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("input error: no instances")
-    sims, ious = [], []
-    acc_hits = acc_total = 0
-    for item in pairs:
-        pred, gold = item[0], item[1]
-        sims.append(semantic_similarity(pred, gold, provider))
+    sims, ious, embedded = [], [], []
+    for pred, gold in pairs:
+        pred, gold = _require_nonempty(pred, "pred"), _require_nonempty(gold, "gold")
+        pv = provider.embed(pred)
+        sims.append(100.0 * max(0.0, float(np.dot(pv, provider.embed(gold)))))
         ious.append(semantic_iou(pred, gold))
-        if len(item) > 2 and item[2]:
-            category, _ = open_vocab_classify(pred, list(item[2]), provider)
-            acc_total += 1
-            acc_hits += int(category.strip().lower() == gold.strip().lower())
+        embedded.append((pv, gold.lower()))
+    mask_acc = None
+    if vocabulary:
+        entries = [provider.embed(cat) for cat in vocabulary]
+        hits = sum(
+            vocabulary[int(np.argmax([np.dot(pv, ev) for ev in entries]))].strip().lower() == gold
+            for pv, gold in embedded
+        )
+        mask_acc = hits / len(pairs)
     return EvalReport(
         semantic_similarity=float(np.mean(sims)),
         semantic_iou=float(np.mean(ious)),
-        mask_acc=(acc_hits / acc_total) if acc_total else None,
+        mask_acc=mask_acc,
         n=len(pairs),
     )
 

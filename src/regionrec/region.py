@@ -189,32 +189,19 @@ def resize_image(image: RasterImage, out_w: int, out_h: int) -> RasterImage:
 def downsample_to_grid(mask: BinaryMask, window: CropWindow, rows: int, cols: int) -> GridMask:
     """Mark each grid cell active iff it contains >= 1 true pixel centre.
 
-    Pixels outside the window are ignored (the mask is effectively clipped).
-    If nothing lands inside — possible only for windows not derived from this
-    mask — the cell containing the mask centroid is activated (clamped into
-    the grid), preserving the >= 1 active cell invariant.
+    The window must hold every true pixel centre, as a ``context_crop_window``
+    of the mask's box does at any scale; one that does not is rejected.
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be >= 1")
     box = tight_bbox(mask)
     ys, xs = np.nonzero(mask.bits[box.y0 : box.y1, box.x0 : box.x1])
-    ys += box.y0
-    xs += box.x0
-    cx = (xs + 0.5 - window.x0) * (cols / window.side)
-    cy = (ys + 0.5 - window.y0) * (rows / window.side)
-    col = np.floor(cx).astype(np.int64)
-    row = np.floor(cy).astype(np.int64)
-    inside = (col >= 0) & (col < cols) & (row >= 0) & (row < rows)
-
+    col = np.floor((xs + box.x0 + 0.5 - window.x0) * (cols / window.side)).astype(np.int64)
+    row = np.floor((ys + box.y0 + 0.5 - window.y0) * (rows / window.side)).astype(np.int64)
+    if not ((col >= 0) & (col < cols) & (row >= 0) & (row < rows)).all():
+        raise ValueError("crop window does not cover the mask")
     active = np.zeros((rows, cols), dtype=bool)
-    if inside.any():
-        active[row[inside], col[inside]] = True
-    else:
-        mx = float(xs.mean()) + 0.5
-        my = float(ys.mean()) + 0.5
-        c = int(np.clip(math.floor((mx - window.x0) * cols / window.side), 0, cols - 1))
-        r = int(np.clip(math.floor((my - window.y0) * rows / window.side), 0, rows - 1))
-        active[r, c] = True
+    active[row, col] = True
     return GridMask(active)
 
 

@@ -1,6 +1,6 @@
 """Command line: its options (flags are the only way to set a value), exit
 codes per subcommand, ``--pretty`` placement, the pinned outputs of every
-subcommand but ``eval`` and the rejected inputs."""
+subcommand and the rejected inputs."""
 
 import argparse
 import dataclasses
@@ -81,7 +81,7 @@ _OPTIONS = {
     "maskviz": "--layout --pretty --variant",
     "decode": "--enc-dim --image --masks --max-label-len --params --pretty --scale --text --variant --vocab",
     "eval": "--pred --pretty --provider-dim --vocab-file",
-    "bench": "--csv --enc-dim --k-values --pretty --repeats --text-len",
+    "bench": "--enc-dim --k-values --pretty --repeats --text-len",
     "pipeline": "--head-threshold --min-ratio --oracle --out-records --pretty --records",
 }
 
@@ -166,13 +166,12 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def test_bench_flops_output_is_pinned(tmp_path, monkeypatch, capsys):
-    """stdout and CSV of an untimed bench run, recorded when the run took
+def test_bench_flops_output_is_pinned(monkeypatch, capsys):
+    """stdout of an untimed bench run, recorded when the run took
     ``--flops-only`` and the cost model had its own copy of the weights' sizes."""
     _small_bench_decoder(monkeypatch)
-    assert run(["bench", "--k-values", "1,2,4,8", "--repeats", "0", "--csv", str(tmp_path / "rows.csv")]) == 0
+    assert run(["bench", "--k-values", "1,2,4,8", "--repeats", "0"]) == 0
     assert _digest(capsys.readouterr().out.encode()) == "a3f6832d7271f027"
-    assert _digest((tmp_path / "rows.csv").read_bytes()) == "483aae4250fbea7f"
 
 
 def _pipeline_files(d):
@@ -214,6 +213,23 @@ def test_pipeline_output_is_pinned(oracle, out_digest, records_digest, tmp_path,
     out = capsys.readouterr().out
     assert _digest(out.encode()) == out_digest
     assert _digest((tmp_path / "kept.jsonl").read_bytes()) == records_digest
+
+
+def test_eval_output_is_pinned(tmp_path, capsys):
+    """stdout with no vocabulary, with ``--vocab-file`` and with a 7-bucket
+    provider.  At dim 256 "zebra" shares no trigram bucket with any entry,
+    so every cosine is 0 and the first entry, "dog", wins the tie."""
+    preds = [("Cat", " cat "), ("red-fox", "red_fox"), ("red fox", "Fox"), ("zebra", "dog"), ("zebra", "cat"),
+             ("bird", "Bird ")]
+    (tmp_path / "pred.jsonl").write_text("".join(
+        json.dumps({"image_id": "img", "mask_index": i, "pred": p, "gold": g}) + "\n" for i, (p, g) in enumerate(preds)))
+    (tmp_path / "vocab.txt").write_text("dog\n  Cat \n\nred fox\nbird\n")
+    pred, vocab = ["eval", "--pred", str(tmp_path / "pred.jsonl")], ["--vocab-file", str(tmp_path / "vocab.txt")]
+    digests = []
+    for extra in ([], vocab, [*vocab, "--provider-dim", "7"]):
+        assert run(pred + extra) == 0
+        digests.append(_digest(capsys.readouterr().out.encode()))
+    assert digests == ["2054923f36275fb7", "18cf4744c43745ad", "45e95b76f40414ad"]
 
 
 def test_tokenize_total_sequence_is_the_layout_length(files, capsys):
@@ -448,6 +464,22 @@ def test_an_rle_size_outside_the_pixel_cap_exits_2(size, counts, files, capsys):
     (files / "huge.jsonl").write_text(f'{{"image_id": "img", "label": "cat", "rle": {rle}}}\n')
     assert run(["pipeline", "--records", str(files / "huge.jsonl")]) == 2
     _assert_one_line_input_error(capsys, "line 1", "rle size error", str(MAX_RLE_PIXELS))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["decode", "--max-label-len", "1000000000000"], ["bench", "--k-values", "1", "--repeats", "0", "--text-len", "3000"],
+     ["bench", "--k-values", "1", "--text-len", "1000000000000"]],
+    ids=["decode-max-label-len", "bench-untimed", "bench-text-len"],
+)
+def test_a_sequence_longer_than_max_len_exits_2(argv, files, monkeypatch, capsys):
+    """The layout length is checked before anything of that length is
+    allocated, and an untimed bench checks it as a timed one does."""
+    _small_bench_decoder(monkeypatch)
+    if argv[0] == "decode":
+        argv = argv + ["--image", str(files / "img.pgm"), "--masks", str(files / "masks.jsonl")]
+    assert run(argv) == 2
+    _assert_one_line_input_error(capsys, "exceeds max_len 2048")
 
 
 def test_maskviz_rejects_a_layout_longer_than_the_decoder_takes(capsys):

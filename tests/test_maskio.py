@@ -83,13 +83,13 @@ def test_pgm_round_trip(tmp_path, rng):
 
 
 def test_rle_single_run_all_true():
-    mask = mask_from_rle('{"size":[2,2],"counts":[0,4]}')
+    mask = mask_from_rle({"size": [2, 2], "counts": [0, 4]})
     assert mask.bits.all() and (mask.height, mask.width) == (2, 2)
 
 
 def test_rle_hand_expanded_column_major():
     # counts [1,2,1]: column-major order false,true,true,false
-    mask = mask_from_rle('{"size":[2,2],"counts":[1,2,1]}')
+    mask = mask_from_rle({"size": [2, 2], "counts": [1, 2, 1]})
     # column 0 = [F, T], column 1 = [T, F]
     assert mask.bits[0, 0] == False  # noqa: E712
     assert mask.bits[1, 0] == True  # noqa: E712
@@ -99,12 +99,12 @@ def test_rle_hand_expanded_column_major():
 
 def test_rle_count_sum_mismatch():
     with pytest.raises(ValueError, match="length"):
-        mask_from_rle('{"size":[1,2],"counts":[3]}')
+        mask_from_rle({"size": [1, 2], "counts": [3]})
 
 
 def test_rle_negative_count():
     with pytest.raises(ValueError, match="negative"):
-        mask_from_rle('{"size":[1,2],"counts":[-1,3]}')
+        mask_from_rle({"size": [1, 2], "counts": [-1, 3]})
 
 
 def test_rle_round_trip_fuzz(rng):

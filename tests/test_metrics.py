@@ -1,5 +1,6 @@
 """Label metrics: the trigram hash against published vectors, word-set IoU,
-open-vocabulary ties, corpus aggregation and the ``eval`` command."""
+open-vocabulary ties, one embedding per label and entry, corpus aggregation
+and the ``eval`` command."""
 
 import json
 
@@ -21,19 +22,37 @@ def test_semantic_iou_splits_on_hyphen_and_underscore():
 
 
 def test_open_vocab_tie_goes_to_the_lowest_index():
-    # the provider lowercases, so both entries embed identically
-    assert metrics.open_vocab_classify("cat", ["Cat", "cat"], PROVIDER) == ("Cat", 100.0)
+    # "puppy" shares no trigram bucket with either entry, so both cosines are 0
+    assert metrics.evaluate([("puppy", "dog")], PROVIDER, ["dog", "cat"]).mask_acc == 1.0
+    assert metrics.evaluate([("puppy", "cat")], PROVIDER, ["dog", "cat"]).mask_acc == 0.0
 
 
 def test_mask_acc_needs_a_vocabulary():
     assert metrics.evaluate([("cat", "cat")], PROVIDER).mask_acc is None
-    assert metrics.evaluate([("cat", "cat", ["dog", "cat"])], PROVIDER).mask_acc == 1.0
+    assert metrics.evaluate([("cat", "cat")], PROVIDER, ["dog", "cat"]).mask_acc == 1.0
 
 
 def test_mask_acc_compares_labels_as_the_similarity_does():
     # stripped and lowercased on both sides, as the similarity embeds them
-    assert metrics.evaluate([("Cat", "Cat", ["cat", "dog"])], PROVIDER).mask_acc == 1.0
-    assert metrics.evaluate([("cat", " CAT ", ["Cat", "dog"])], PROVIDER).mask_acc == 1.0
+    assert metrics.evaluate([("Cat", "Cat")], PROVIDER, ["cat", "dog"]).mask_acc == 1.0
+    assert metrics.evaluate([("cat", " CAT ")], PROVIDER, ["Cat", "dog"]).mask_acc == 1.0
+
+
+class CountingProvider(metrics.TrigramHashProvider):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def embed(self, text):
+        self.calls += 1
+        return super().embed(text)
+
+
+def test_evaluate_embeds_each_label_and_entry_once():
+    provider = CountingProvider()
+    pairs, vocabulary = [("cat", "cat"), ("puppy", "dog"), ("red fox", "fox")], ["dog", "cat", "fox", "bird"]
+    metrics.evaluate(pairs, provider, vocabulary)
+    assert provider.calls == len(vocabulary) + 2 * len(pairs)
 
 
 def test_eval_with_vocab_file_end_to_end(tmp_path, capsys):

@@ -68,7 +68,7 @@ def ref_tight_bbox(mask):
 
 
 def ref_downsample_to_grid(mask, window, rows, cols):
-    """Full-raster scan of true pixels, centroid fallback when none lands."""
+    """Full-raster scan of true pixels, each marking the cell it lands in."""
     ys, xs = np.nonzero(mask.bits)
     cx = (xs + 0.5 - window.x0) * (cols / window.side)
     cy = (ys + 0.5 - window.y0) * (rows / window.side)
@@ -76,14 +76,7 @@ def ref_downsample_to_grid(mask, window, rows, cols):
     row = np.floor(cy).astype(np.int64)
     inside = (col >= 0) & (col < cols) & (row >= 0) & (row < rows)
     active = np.zeros((rows, cols), dtype=bool)
-    if inside.any():
-        active[row[inside], col[inside]] = True
-    else:
-        mx = float(xs.mean()) + 0.5
-        my = float(ys.mean()) + 0.5
-        c = int(np.clip(math.floor((mx - window.x0) * cols / window.side), 0, cols - 1))
-        r = int(np.clip(math.floor((my - window.y0) * rows / window.side), 0, rows - 1))
-        active[r, c] = True
+    active[row[inside], col[inside]] = True
     return active
 
 
@@ -285,24 +278,22 @@ def test_grid_matches_full_scan_oracle(rng):
         h, w = int(rng.integers(1, 50)), int(rng.integers(1, 50))
         mask = random_mask(rng, w, h, p=float(rng.random() * 0.2))
         rows, cols = int(rng.integers(1, 17)), int(rng.integers(1, 17))
-        if rng.random() < 0.5:
-            win = _window_for(mask, scale=float(rng.choice([1.0, 1.5, 2.0])))
-        else:  # any window, including ones that miss the mask (centroid fallback)
-            win = _random_window(rng, w, h, max(rows, cols))
+        win = _window_for(mask, scale=float(rng.choice([1.0, 1.5, 2.0])))
         gm = downsample_to_grid(mask, win, rows, cols)
         assert np.array_equal(gm.active, ref_downsample_to_grid(mask, win, rows, cols))
 
 
-def test_grid_centroid_fallback_matches_oracle(rng):
-    bits = np.zeros((40, 60), bool)
-    bits[30:36, 41:58] = rng.random((6, 17)) < 0.5
-    bits[31, 44] = True
-    mask = BinaryMask(bits)
-    misses = (CropWindow(center_x=5.5, center_y=4.0, side=6), CropWindow(center_x=50.0, center_y=-9.0, side=3))
-    for win in misses:
-        gm = downsample_to_grid(mask, win, 16, 16)
-        assert int(gm.active.sum()) == 1
-        assert np.array_equal(gm.active, ref_downsample_to_grid(mask, win, 16, 16))
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-12, 1.5, 2.0, 3.7, 10.0, 1e3, 1e10, 1e100, 1e300])
+def test_context_windows_cover_the_mask_at_every_scale(scale, rng):
+    """``tight_bbox`` -> ``context_crop_window`` -> ``downsample_to_grid``
+    never meets a window that misses the mask."""
+    for _ in range(360):
+        h, w = int(rng.integers(1, 60)), int(rng.integers(1, 60))
+        mask = random_mask(rng, w, h, p=float(rng.random() * 0.3))
+        rows, cols = int(rng.integers(1, 17)), int(rng.integers(1, 17))
+        win = _window_for(mask, scale=scale)
+        gm = downsample_to_grid(mask, win, rows, cols)
+        assert np.array_equal(gm.active, ref_downsample_to_grid(mask, win, rows, cols))
 
 
 def test_grid_monotone_under_union(rng):
@@ -316,10 +307,12 @@ def test_grid_monotone_under_union(rng):
         assert (gu.active | g1.active == gu.active).all()
 
 
-def test_grid_centroid_fallback_when_mask_outside_window():
-    mask = _mask_from_points([(60, 60)], 64, 64)
-    win = CropWindow(center_x=5.0, center_y=5.0, side=8)  # far from the mask
-    gm = downsample_to_grid(mask, win, 16, 16)
-    assert int(gm.active.sum()) == 1
-    assert gm.active[15, 15]  # clamped toward the centroid
-
+@pytest.mark.parametrize(
+    "window",
+    [CropWindow(center_x=5.0, center_y=5.0, side=8), CropWindow(center_x=10.0, center_y=10.0, side=8)],
+    ids=["misses-fully", "misses-partly"],
+)
+def test_grid_rejects_a_window_that_does_not_cover_the_mask(window):
+    mask = _mask_from_points([(10, 10), (60, 60)], 64, 64)
+    with pytest.raises(ValueError, match="crop window does not cover the mask"):
+        downsample_to_grid(mask, window, 16, 16)
