@@ -19,6 +19,16 @@ exactly what chunk i may use — and each later token at the slot before it.
 No row reads a slot filled after it, so each decode step equals one
 teacher-forced forward over the decoded output with its unused trailing
 slots dead, under every ``CascadeConfig``.
+
+Every mask segment comes before every output chunk, so the prefix rows see
+no slot: one prefix pass with every slot dead fixes their keys, values and
+anchor logits for the whole decode.  Each later step runs only the current
+chunk's filled slots through the layers, as the one block ``forward`` would
+form over them, against the cached keys and values; a chunk that later
+chunks may see is run once more when it stops, to cache its last token.
+Each step computes the same products over the same rows as that forward,
+and ``_dense`` pads the few-row ones, so for the weight shapes the tests
+pin the decode is bit-equal to one full forward per token.
 """
 
 from __future__ import annotations
@@ -225,9 +235,6 @@ class TokenSequence:
     def n(self) -> int:
         return int(self.ids.shape[0])
 
-    def with_ids(self, ids: np.ndarray) -> "TokenSequence":
-        return TokenSequence(ids=ids, injected=self.injected, layout=self.layout)
-
 
 @dataclass(frozen=True)
 class DecodeResult:
@@ -277,34 +284,84 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _attention(x_norm: np.ndarray, block: LayerWeights, heads: int, attn_blocks) -> np.ndarray:
-    """Multi-head attention: per ``AttentionMask.blocks`` block, one key
-    gather, one batched score matmul and one value matmul.
+_MIN_ROWS = 16
+
+
+def _dense(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` over at least ``_MIN_ROWS`` rows: fewer are padded by
+    repeating x.
+
+    On OpenBLAS 0.3.31 a product of few rows takes other kernels, whose sums
+    round differently, so a decode step's rows multiplied alone would not be
+    bit-equal to the same rows of ``forward``'s n-row product.  From 16 rows
+    on they are for the CLI and bench decoders' weight shapes (4 rows still
+    differ at dim 128).  A weight whose column count leaves 1 over a multiple
+    of 8 (a 17- or 65-word head) still differs in the last bit.
+    """
+    m = x.shape[0]
+    if m >= _MIN_ROWS:
+        return x @ w
+    return (np.concatenate([x] * -(-_MIN_ROWS // m)) @ w)[:m]
+
+
+def _block_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int, keys: np.ndarray,
+                     heads: int) -> np.ndarray:
+    """Multi-head attention of the query rows at positions ``start``,
+    ``start + 1``, ... over the gathered ``keys`` (k and v hold their rows):
+    one batched score matmul and one value matmul.
 
     A row's causal tail (gathered keys after the row) is set to -inf by
-    selection, so it gets weight exactly 0; keys outside the gathered set
-    are never read.  Rows in no block produce the zero vector.
+    selection, so it gets weight exactly 0.
     """
-    n, dim = x_norm.shape
-    dh = dim // heads
-    scale = 1.0 / np.sqrt(dh)
-    q = x_norm @ block.wq
-    k = x_norm @ block.wk
-    v = x_norm @ block.wv
+    rows, dim = q.shape
+    m, dh = keys.size, dim // heads
+    q_b = q.reshape(rows, heads, dh).transpose(1, 0, 2)  # (heads, rows, dh)
+    k_b = k.reshape(m, heads, dh).transpose(1, 2, 0)  # (heads, dh, keys)
+    v_b = v.reshape(m, heads, dh).transpose(1, 0, 2)  # (heads, keys, dh)
+    sc = (q_b @ k_b) * (1.0 / np.sqrt(dh))
+    sc = np.where(keys[None, :] > np.arange(start, start + rows)[:, None], -np.inf, sc)
+    sc -= sc.max(axis=-1, keepdims=True)
+    e_sc = np.exp(sc)
+    w = e_sc / e_sc.sum(axis=-1, keepdims=True)
+    return (w @ v_b).transpose(1, 0, 2).reshape(rows, dim)
 
-    out = np.zeros((n, dim))
+
+def _attention(x_norm: np.ndarray, lo: int, block: LayerWeights, heads: int, attn_blocks, k: np.ndarray,
+               v: np.ndarray) -> np.ndarray:
+    """Multi-head attention of the rows at positions ``lo``, ``lo + 1``, ...
+    (``x_norm`` holds them).
+
+    Their keys and values go into ``k`` and ``v``, (n, dim) arrays indexed
+    by position; then each ``(start, stop, keys)`` block, whose rows lie in
+    the run, attends over the rows of k and v at ``keys``.  Keys outside the
+    set are never read.  Rows in no block produce the zero vector.
+    """
+    hi = lo + x_norm.shape[0]
+    q = _dense(x_norm, block.wq)
+    k[lo:hi] = _dense(x_norm, block.wk)
+    v[lo:hi] = _dense(x_norm, block.wv)
+    out = np.zeros_like(x_norm)
     for start, stop, keys in attn_blocks:
-        rows, m = stop - start, keys.size
-        q_b = q[start:stop].reshape(rows, heads, dh).transpose(1, 0, 2)  # (heads, rows, dh)
-        k_b = k[keys].reshape(m, heads, dh).transpose(1, 2, 0)  # (heads, dh, keys)
-        v_b = v[keys].reshape(m, heads, dh).transpose(1, 0, 2)  # (heads, keys, dh)
-        sc = (q_b @ k_b) * scale
-        sc = np.where(keys[None, :] > np.arange(start, stop)[:, None], -np.inf, sc)
-        sc -= sc.max(axis=-1, keepdims=True)
-        e_sc = np.exp(sc)
-        w = e_sc / e_sc.sum(axis=-1, keepdims=True)
-        out[start:stop] = (w @ v_b).transpose(1, 0, 2).reshape(rows, dim)
-    return out @ block.wo
+        out[start - lo : stop - lo] = _block_attention(q[start - lo : stop - lo], k[keys], v[keys], start, keys, heads)
+    return _dense(out, block.wo)
+
+
+def _layers(x: np.ndarray, lo: int, attn_blocks, params: DecoderParams, cache) -> np.ndarray:
+    """Every layer over the rows at positions ``lo``, ``lo + 1``, ... of the
+    sequence; ``x`` is their embedded input.  ``cache`` yields each layer's
+    (k, v) pair for ``_attention``; nothing here holds a pair past its
+    layer's attention."""
+    cache = iter(cache)
+    for block in params.blocks:
+        x = x + _attention(_layer_norm(x, block.ln1_g, block.ln1_b), lo, block, params.heads, attn_blocks,
+                           *next(cache))
+        h = _layer_norm(x, block.ln2_g, block.ln2_b)
+        x = x + _dense(_gelu(_dense(h, block.w1)), block.w2)
+    return x
+
+
+def _logits(x: np.ndarray, params: DecoderParams) -> np.ndarray:
+    return _dense(_layer_norm(x, params.ln_f_g, params.ln_f_b), params.head)
 
 
 def embed_sequence(seq: TokenSequence, params: DecoderParams) -> np.ndarray:
@@ -329,13 +386,11 @@ def forward(seq: TokenSequence, mask: AttentionMask, params: DecoderParams) -> n
                          f"is not the sequence layout {seq.layout.header()!r}")
     if not np.isfinite(seq.injected).all():
         raise ValueError("numeric error: non-finite injected values")
-    x = embed_sequence(seq, params)
-    attn_blocks = mask.blocks()
-    for block in params.blocks:
-        x = x + _attention(_layer_norm(x, block.ln1_g, block.ln1_b), block, params.heads, attn_blocks)
-        h = _layer_norm(x, block.ln2_g, block.ln2_b)
-        x = x + _gelu(h @ block.w1) @ block.w2
-    return _layer_norm(x, params.ln_f_g, params.ln_f_b) @ params.head
+    # fresh keys and values per layer, freed once its attention is done; no
+    # name here keeps the embedded input alive through the layers either
+    shape = (seq.n, params.dim)
+    cache = ((np.empty(shape), np.empty(shape)) for _ in params.blocks)
+    return _logits(_layers(embed_sequence(seq, params), 0, mask.blocks(), params, cache), params)
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +476,13 @@ def decode_objects(
     """Greedy-decode every object's label, one object after another.
 
     Each object gets ``max_label_len`` pre-allocated slots and stops at the
-    end token or when they run out; then the next object starts.  Each step
-    equals a teacher-forced ``forward`` over the decoded output (see the
-    module docstring).
+    end token or when they run out; then the next object starts.  One prefix
+    pass over the sequence, every slot dead, caches each layer's keys and
+    values and gives each object's first-token logits at its anchor; each
+    later token costs one pass of the object's filled slots, at most
+    ``max_label_len`` rows, against that cache.  Each step equals a
+    teacher-forced ``forward`` over the decoded output (see the module
+    docstring).
     """
     if config is None:
         config = CascadeConfig.full_cascade()
@@ -443,20 +502,42 @@ def decode_objects(
         text_ids=text_ids,
     )
     base = build_cascade_mask(layout, config)
-    ids = seq.ids.copy()
-    unfilled = np.isin(np.arange(layout.n), layout.positions(OUT))  # slots with no token yet
+    unfilled = np.zeros(layout.n, dtype=bool)  # slots with no token yet
+    unfilled[layout.positions(OUT)] = True
+    # the prefix pass: every slot dead, as at the first step; the prefix rows
+    # see no slot, so their keys, values and logits never change after it
+    x = embed_sequence(seq, params)
+    cache = [(np.empty_like(x), np.empty_like(x)) for _ in params.blocks]
+    first_logits = _logits(_layers(x, 0, base.without(unfilled).blocks(), params, cache), params)
+    segment = np.repeat(np.arange(len(layout.segments)), [seg.length for seg in layout.segments])
     steps, labels = [], []
     for i in range(layout.num_objects):
+        slots, rows = _chunk_rows(layout, i)
+        lo, seg = int(slots[0]), segment[slots[0]]
+        # the live positions before the chunk that its table row marks visible
+        earlier_keys = np.flatnonzero(base.table[seg, segment[:lo]] & ~unfilled[:lo])
+        seen_later = bool(base.table[segment[slots[-1] + 1 :], seg].any())
+
+        def push(stop):
+            """The chunk's filled rows through every layer: the block
+            ``forward`` would form over them, caching their keys and values."""
+            keys = np.concatenate([earlier_keys, np.arange(lo, stop)])
+            return _layers(x[lo:stop], lo, [(lo, stop, keys)], params, cache)
+
+        logits = first_logits[rows[0]]
         lps, words = [], []
-        for slot, row in zip(*_chunk_rows(layout, i)):
-            logits = forward(seq.with_ids(ids), base.without(np.flatnonzero(unfilled)), params)[row]
+        for slot in slots:
             tok = int(np.argmax(logits))
             lps.append(float(log_softmax(logits)[tok]))
-            ids[slot] = tok
+            x[slot] = params.embed[tok] + params.pos[slot]
             unfilled[slot] = False
             if tok == params.end_id:
                 break
             words.append(params.vocab[tok])
+            if slot < slots[-1]:
+                logits = _logits(push(slot + 1)[-1:], params)[0]
+        if seen_later:  # later chunks read this one's keys and values, its last token's too
+            push(slot + 1)
         steps.append(tuple(lps))
         labels.append(" ".join(words))
 

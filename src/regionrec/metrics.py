@@ -75,14 +75,18 @@ class EvalReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _require_nonempty(label: str, side: str) -> str:
-    if not label or not label.strip():
-        raise ValueError(f"input error: empty {side} label")
-    return label.strip()
-
-
 def _word_set(label: str) -> set[str]:
     return {w for w in _WORD_SPLIT.split(label.lower()) if w}
+
+
+def _checked_label(label: str, side: str) -> str:
+    """``label`` stripped, or an input error if it is blank or keeps no
+    word after ``semantic_iou``'s normalization."""
+    if not label.strip():
+        raise ValueError(f"input error: empty {side} label")
+    if not _word_set(label):
+        raise ValueError(f"input error: {side} label empty after normalization")
+    return label.strip()
 
 
 def semantic_iou(pred: str, gold: str) -> float:
@@ -113,7 +117,7 @@ def evaluate(pairs, provider, vocabulary=()) -> EvalReport:
         raise ValueError("input error: no instances")
     sims, ious, embedded = [], [], []
     for pred, gold in pairs:
-        pred, gold = _require_nonempty(pred, "pred"), _require_nonempty(gold, "gold")
+        pred, gold = _checked_label(pred, "pred"), _checked_label(gold, "gold")
         pv = provider.embed(pred)
         sims.append(100.0 * max(0.0, float(np.dot(pv, provider.embed(gold)))))
         ious.append(semantic_iou(pred, gold))
@@ -138,6 +142,8 @@ def _prediction(obj: dict) -> tuple[str, str]:
     pred, gold = obj["pred"], obj["gold"]
     if not isinstance(pred, str) or not isinstance(gold, str):
         raise TypeError("pred and gold must be strings")
+    _checked_label(pred, "pred")
+    _checked_label(gold, "gold")
     return pred, gold
 
 

@@ -413,6 +413,15 @@ def test_a_bad_prediction_line_exits_2(line, files, capsys):
     _assert_one_line_input_error(capsys, "prediction error at line 1")
 
 
+@pytest.mark.parametrize("pred, words", [("-", "pred label empty after normalization"), ("  ", "empty pred label")])
+def test_a_bad_prediction_label_names_its_line(pred, words, files, capsys):
+    good = {"image_id": "img", "mask_index": 0, "pred": "cat", "gold": "cat"}
+    rows = [good, dict(good, mask_index=1, pred=pred)]
+    (files / "odd.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert run(["eval", "--pred", str(files / "odd.jsonl")]) == 2
+    _assert_one_line_input_error(capsys, "prediction error at line 2", words)
+
+
 def test_an_oracle_file_that_is_not_a_list_of_objects_exits_2(files, capsys):
     for table in ({"a": 1}, [1], ["a"]):
         (files / "oracle.json").write_text(json.dumps(table))

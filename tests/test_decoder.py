@@ -10,12 +10,14 @@ from regionrec import decoder
 from regionrec.attnmask import (
     MASK,
     OUT,
+    AttentionMask,
     CascadeConfig,
     build_cascade_mask,
     canonical_layout,
     parse_layout_header,
 )
 from regionrec.decoder import (
+    DecodeResult,
     DecoderParams,
     TokenSequence,
     _gelu,
@@ -25,6 +27,7 @@ from regionrec.decoder import (
     embed_sequence,
     forward,
     isolate_single_mask,
+    log_softmax,
     make_vocab,
     teacher_forced_loss,
 )
@@ -104,6 +107,37 @@ def oracle_forward(seq, mask, params) -> np.ndarray:
     return _layer_norm(x, params.ln_f_g, params.ln_f_b) @ params.head
 
 
+def ref_decode_objects(batch, text_ids, params, config, max_label_len) -> DecodeResult:
+    """Reference decode: each token is read off one full ``forward`` over
+    the sequence with its unfilled slots dead."""
+    grid = batch.image_tokens
+    layout = canonical_layout(grid.rows * grid.cols, len(text_ids), [ts.count for ts in batch.mask_token_sets],
+                              max_label_len)
+    seq = assemble_sequence(layout, params, grid.tokens(), {ts.mask_index: ts.tokens for ts in batch.mask_token_sets},
+                            text_ids)
+    base = build_cascade_mask(layout, config)
+    ids = seq.ids.copy()
+    unfilled = list(layout.positions(OUT))
+    steps, labels = [], []
+    for i in range(layout.num_objects):
+        slots = layout.positions(OUT, i)
+        lps, words = [], []
+        for slot, row in zip(slots, [layout.positions(MASK, i)[-1], *slots[:-1]]):
+            filled = TokenSequence(ids=ids, injected=seq.injected, layout=layout)
+            logits = forward(filled, base.without(unfilled), params)[row]
+            tok = int(np.argmax(logits))
+            lps.append(float(log_softmax(logits)[tok]))
+            ids[slot] = tok
+            unfilled.remove(slot)
+            if tok == params.end_id:
+                break
+            words.append(params.vocab[tok])
+        steps.append(tuple(lps))
+        labels.append(" ".join(words))
+    per_object = tuple(float(sum(s)) for s in steps)
+    return DecodeResult(tuple(labels), tuple(steps), per_object, float(sum(per_object)))
+
+
 # ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------
@@ -112,6 +146,13 @@ def oracle_forward(seq, mask, params) -> np.ndarray:
 @pytest.fixture(scope="module")
 def params():
     return DecoderParams.seeded(3, VOCAB, dim=16, heads=2, layers=2, enc_dim=ENC_DIM, max_len=256)
+
+
+@pytest.fixture(scope="module")
+def wide_params():
+    """dim 128, where 4-row padding of the decode step's products is not
+    bit-equal to ``forward``'s rows."""
+    return DecoderParams.seeded(4, VOCAB, dim=128, heads=8, layers=2, enc_dim=ENC_DIM, max_len=256)
 
 
 def random_sequence(rng, layout, params, fill_all=False) -> TokenSequence:
@@ -260,14 +301,39 @@ def test_no_dense_matrix_is_built_on_the_hot_path(params, rng, monkeypatch):
     teacher_forced_loss(seq, mask, params)
     assert "bits" not in mask.__dict__
     seen = []
+    blocks = AttentionMask.blocks
 
-    def spy(seq, mask, params):
+    def spy(mask):
         seen.append(mask)
-        return forward(seq, mask, params)
+        return blocks(mask)
 
-    monkeypatch.setattr(decoder, "forward", spy)
+    monkeypatch.setattr(AttentionMask, "blocks", spy)
     decode_objects(random_batch(rng, [2, 1]), [params.token_id("<start>")], params, max_label_len=3)
-    assert seen and all("bits" not in m.__dict__ for m in seen)
+    # the prefix pass takes the only blocks of a decode; each step forms its own
+    assert len(seen) == 1 and "bits" not in seen[0].__dict__
+
+
+# the weights a decode step multiplies: each layer's q, k, v, o, MLP up and
+# down, and the head, of the CLI decoder (dim 32, 64 words), the bench
+# decoder (dim 256, 128 words) and ``wide_params`` (dim 128)
+STEP_WEIGHT_SHAPES = sorted({(d, d) for d in (32, 128, 256)} | {(d, 4 * d) for d in (32, 128, 256)}
+                            | {(4 * d, d) for d in (32, 128, 256)} | {(32, 64), (256, 128), (128, len(VOCAB))})
+
+
+@pytest.mark.parametrize("shape", STEP_WEIGHT_SHAPES, ids=[f"{a}x{b}" for a, b in STEP_WEIGHT_SHAPES])
+def test_padded_products_are_bit_equal_to_rows_of_the_full_product(shape):
+    """The decode step multiplies a few rows where ``forward`` multiplies n;
+    ``_dense`` pads them so that this BLAS build gives the same bits."""
+    rng = np.random.default_rng(shape[0] * 7 + shape[1])
+    w = rng.normal(size=shape)
+    for n in (37, 383, 2101):
+        x = rng.normal(size=(n, shape[0]))
+        full = x @ w
+        for m in range(1, 21):
+            for lo in (0, (n - m) // 3, n - m):
+                assert np.array_equal(decoder._dense(x[lo : lo + m], w), full[lo : lo + m]), (
+                    f"{m} rows at {lo} of {n} times a {shape} weight differ from the full product's rows: "
+                    f"padding to {decoder._MIN_ROWS} rows does not make decode steps bit-equal on this BLAS build")
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +380,20 @@ def test_each_decode_step_equals_a_teacher_forced_forward(config, params, rng):
                 assert abs(logp[tok] - lp) <= TOL
 
 
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)
+@pytest.mark.parametrize("wide", [False, True], ids=["dim16", "dim128"])
+def test_cached_decode_equals_the_per_step_forward(config, wide, params, wide_params, rng):
+    """Labels and every log-prob are bit-equal to the per-step full forward."""
+    dec = wide_params if wide else params
+    text_ids = [dec.token_id("<start>"), dec.token_id("w0")]
+    for slots in (1, 2, 3, 5, 16):
+        side = int(rng.integers(1, 5))
+        mask_lens = [int(m) for m in rng.integers(1, side * side + 1, size=int(rng.integers(1, 7)))]
+        batch = random_batch(rng, mask_lens, grid_side=side)
+        want = ref_decode_objects(batch, text_ids, dec, config, slots)
+        assert decode_objects(batch, text_ids, dec, config=config, max_label_len=slots) == want
+
+
 def test_object0_steps_are_independent_of_k(params, rng):
     # object 0's output slots move with K; zero position embeddings remove
     # the one input that depends on where a row sits
@@ -340,7 +420,7 @@ def test_last_filled_token_does_not_reach_earlier_rows(config, params, rng):
         last = int(rng.choice(filled))
         ids = seq.ids.copy()
         ids[last] = 4 + (ids[last] - 3) % (len(VOCAB) - 4)
-        changed = forward(seq.with_ids(ids), mask, params)
+        changed = forward(TokenSequence(ids=ids, injected=seq.injected, layout=layout), mask, params)
         base = forward(seq, mask, params)
         assert np.array_equal(base[:last], changed[:last])
         assert not np.array_equal(base[last], changed[last])
