@@ -15,8 +15,10 @@ Separator rows attend to nothing; their attention output is defined as the
 zero vector downstream.  The rules are one predicate over the (kind,
 instance) codes of a query segment and a key segment, which stay private to
 this module.  A mask is the predicate's table over the layout's segments
-plus a set of dead positions.  The decoder's attention blocks come from the
-table; the dense n x n matrix is built only when asked for.
+plus a set of dead positions.  ``AttentionMask.blocks`` is the one place the
+table becomes key sets: the decoder's forward and cached decode attend over
+its blocks, and the dense n x n ``bits``, built only when asked for, is
+drawn from them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -89,21 +92,28 @@ class SequenceLayout:
 
     @property
     def n(self) -> int:
-        return sum(s.length for s in self.segments)
+        return sum(s.length for s in self.segments)  # a Python int: it never wraps
 
     @property
     def num_objects(self) -> int:
         return sum(1 for s in self.segments if s.kind == MASK)
 
+    @cached_property
+    def starts(self) -> tuple[int, ...]:
+        """Each segment's first position."""
+        return tuple(accumulate((s.length for s in self.segments[:-1]), initial=0))
+
+    @cached_property
+    def segment_of(self) -> np.ndarray:
+        """The segment of each position, read-only."""
+        out = np.repeat(np.arange(len(self.segments)), [s.length for s in self.segments])
+        out.flags.writeable = False
+        return out
+
     def positions(self, kind: str, index: int | None = None) -> np.ndarray:
         """Positions of all tokens of a kind (optionally one instance)."""
-        out = []
-        pos = 0
-        for seg in self.segments:
-            if seg.kind == kind and (index is None or seg.index == index):
-                out.extend(range(pos, pos + seg.length))
-            pos += seg.length
-        return np.asarray(out, dtype=np.int64)
+        hit = [s.kind == kind and (index is None or s.index == index) for s in self.segments]
+        return np.flatnonzero(np.asarray(hit, dtype=bool)[self.segment_of])
 
     def header(self) -> str:
         return " ".join(f"{s.label()}:{s.length}" for s in self.segments)
@@ -217,8 +227,7 @@ class AttentionMask:
         positions before ``stop`` in the segments the block's table row marks
         visible; row r sees those <= r.  Separator and dead rows see nothing
         and lie in no block."""
-        lengths = [seg.length for seg in self.layout.segments]
-        seg_of = np.repeat(np.arange(len(lengths)), lengths)
+        seg_of = self.layout.segment_of
         seen = self.table[:, seg_of] & ~self.dead  # seen[s, p]: segment s may see live position p
         live = seen[seg_of, np.arange(seg_of.size)]  # a row sees itself unless separator or dead
         same = seg_of[1:] == seg_of[:-1]
@@ -230,14 +239,12 @@ class AttentionMask:
 
     @cached_property
     def bits(self) -> np.ndarray:
-        """n x n, ``bits[q, k]`` meaning query q may attend key k: the table
-        repeated by segment length on both axes, cut to the causal lower
-        triangle, with the dead rows and columns cleared."""
-        lengths = [seg.length for seg in self.layout.segments]
-        bits = np.repeat(np.repeat(self.table, lengths, axis=0), lengths, axis=1)
-        bits &= np.tri(self.layout.n, dtype=bool)
-        bits[self.dead] = False
-        bits[:, self.dead] = False
+        """n x n, ``bits[q, k]`` meaning query q may attend key k: each
+        block's rows over its keys, cut to the causal lower triangle."""
+        n = self.layout.n
+        bits = np.zeros((n, n), dtype=bool)
+        for start, stop, keys in self.blocks():
+            bits[start:stop, keys] = keys <= np.arange(start, stop)[:, None]
         bits.flags.writeable = False
         return bits
 

@@ -20,22 +20,24 @@ No row reads a slot filled after it, so each decode step equals one
 teacher-forced forward over the decoded output with its unused trailing
 slots dead, under every ``CascadeConfig``.
 
-Every mask segment comes before every output chunk, so the prefix rows see
-no slot: one prefix pass with every slot dead fixes their keys, values and
-anchor logits for the whole decode.  Each later step runs only the current
-chunk's filled slots through the layers, as the one block ``forward`` would
-form over them, against the cached keys and values; a chunk that later
-chunks may see is run once more when it stops, to cache its last token.
-Each step computes the same products over the same rows as that forward,
-and ``_dense`` pads the few-row ones, so for the weight shapes the tests
-pin the decode is bit-equal to one full forward per token.
+Every mask segment comes before every output chunk, so the rows before
+the first slot see no slot: one prefix pass over those rows, through their
+blocks, fixes their keys, values and anchor logits for the whole decode.
+Each later step runs only the current chunk's filled slots through the
+layers against the cached keys and values.  The step's keys are the keys of
+the chunk's block that are filled, so the step forms the one block
+``forward`` would form over those slots; a chunk whose first slot a later
+chunk's block holds is run once more when it stops, to cache its last
+token.  Each step computes the same products over the same rows as that
+forward, and ``_dense`` pads the few-row ones, so for the weight shapes the
+tests pin the decode is bit-equal to one full forward per token.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import erf
@@ -52,6 +54,7 @@ from .attnmask import (
     build_cascade_mask,
     canonical_layout,
 )
+from .maskio import _readonly
 from .prng import Xoshiro256StarStar, quantized_uniform
 from .prompt import OUTPUT_SLOTS, PromptBatch
 
@@ -220,16 +223,14 @@ class TokenSequence:
     layout: SequenceLayout
 
     def __post_init__(self):
-        ids = np.asarray(self.ids, dtype=np.int64).copy()
-        injected = np.asarray(self.injected, dtype=np.float64).copy()
+        ids = np.asarray(self.ids, dtype=np.int64)
+        injected = np.asarray(self.injected, dtype=np.float64)
         if injected.ndim != 2 or injected.shape[0] != ids.shape[0]:
             raise ValueError("injected must be (n, enc_dim) aligned with ids")
         if self.layout.n != ids.shape[0]:
             raise ValueError("sequence length does not match layout")
-        ids.flags.writeable = False
-        injected.flags.writeable = False
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "injected", injected)
+        object.__setattr__(self, "ids", _readonly(ids))
+        object.__setattr__(self, "injected", _readonly(injected))
 
     @property
     def n(self) -> int:
@@ -253,15 +254,7 @@ class DecodeResult:
                 raise ValueError("per_object_logprob must equal the sum of its steps")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "labels": list(self.labels),
-                "stepwise_logprobs": [list(s) for s in self.stepwise_logprobs],
-                "per_object_logprob": list(self.per_object_logprob),
-                "total_logprob_joint": self.total_logprob_joint,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +411,8 @@ def assemble_sequence(
     n = layout.n
     ids = np.full(n, params.pad_id, dtype=np.int64)
     injected = np.zeros((n, params.enc_dim))
-    pos = 0
     text_ids = list(text_ids)
-    for seg in layout.segments:
+    for seg, pos in zip(layout.segments, layout.starts):
         span = slice(pos, pos + seg.length)
         if seg.kind == IMAGE:
             if image_values.shape != (seg.length, params.enc_dim):
@@ -444,7 +436,6 @@ def assemble_sequence(
             if len(gold) > seg.length:
                 raise ValueError(f"output chunk {seg.index} overflows its slots")
             ids[pos : pos + len(gold)] = gold
-        pos += seg.length
     return TokenSequence(ids=ids, injected=injected, layout=layout)
 
 
@@ -470,22 +461,21 @@ def decode_objects(
     batch: PromptBatch,
     text_ids,
     params: DecoderParams,
-    config: CascadeConfig | None = None,
+    config: CascadeConfig = CascadeConfig(),
     max_label_len: int = OUTPUT_SLOTS,
 ) -> DecodeResult:
     """Greedy-decode every object's label, one object after another.
 
     Each object gets ``max_label_len`` pre-allocated slots and stops at the
-    end token or when they run out; then the next object starts.  One prefix
-    pass over the sequence, every slot dead, caches each layer's keys and
-    values and gives each object's first-token logits at its anchor; each
-    later token costs one pass of the object's filled slots, at most
-    ``max_label_len`` rows, against that cache.  Each step equals a
+    end token or when they run out; then the next object starts.  The mask's
+    blocks give every key set.  One prefix pass over the rows before the
+    first slot caches each layer's keys and values there and gives each
+    object's first-token logits at its anchor; each later token costs one
+    pass of the object's filled slots, at most ``max_label_len`` rows, over
+    the filled keys of the object's block.  Each step equals a
     teacher-forced ``forward`` over the decoded output (see the module
     docstring).
     """
-    if config is None:
-        config = CascadeConfig.full_cascade()
     if max_label_len < 1:
         raise ValueError(f"max_label_len must be >= 1, got {max_label_len}")
     grid = batch.image_tokens
@@ -501,32 +491,29 @@ def decode_objects(
         mask_values={ts.mask_index: ts.tokens for ts in batch.mask_token_sets},
         text_ids=text_ids,
     )
-    base = build_cascade_mask(layout, config)
+    blocks = build_cascade_mask(layout, config).blocks()
+    first_slot = layout.n - layout.num_objects * max_label_len  # the chunks close the layout
+    prefix = [b for b in blocks if b[0] < first_slot]
+    chunks = blocks[len(prefix) :]  # one block per chunk, in object order
     unfilled = np.zeros(layout.n, dtype=bool)  # slots with no token yet
-    unfilled[layout.positions(OUT)] = True
-    # the prefix pass: every slot dead, as at the first step; the prefix rows
-    # see no slot, so their keys, values and logits never change after it
+    unfilled[first_slot:] = True
+    # the prefix rows see no slot, so their keys, values and logits never
+    # change after this pass
     x = embed_sequence(seq, params)
     cache = [(np.empty_like(x), np.empty_like(x)) for _ in params.blocks]
-    first_logits = _logits(_layers(x, 0, base.without(unfilled).blocks(), params, cache), params)
-    segment = np.repeat(np.arange(len(layout.segments)), [seg.length for seg in layout.segments])
+    first_logits = _logits(_layers(x[:first_slot], 0, prefix, params, cache), params)
+    # how many chunk blocks hold each position: a chunk's own block holds its first slot
+    readers = np.bincount(np.concatenate([np.zeros(0, dtype=np.int64), *(keys for *_, keys in chunks)]))
     steps, labels = [], []
-    for i in range(layout.num_objects):
-        slots, rows = _chunk_rows(layout, i)
-        lo, seg = int(slots[0]), segment[slots[0]]
-        # the live positions before the chunk that its table row marks visible
-        earlier_keys = np.flatnonzero(base.table[seg, segment[:lo]] & ~unfilled[:lo])
-        seen_later = bool(base.table[segment[slots[-1] + 1 :], seg].any())
+    for i, (lo, hi, keys) in enumerate(chunks):
 
         def push(stop):
-            """The chunk's filled rows through every layer: the block
-            ``forward`` would form over them, caching their keys and values."""
-            keys = np.concatenate([earlier_keys, np.arange(lo, stop)])
-            return _layers(x[lo:stop], lo, [(lo, stop, keys)], params, cache)
+            """The chunk's filled rows through every layer over the block's filled keys."""
+            return _layers(x[lo:stop], lo, [(lo, stop, keys[~unfilled[keys]])], params, cache)
 
-        logits = first_logits[rows[0]]
+        logits = first_logits[_chunk_rows(layout, i)[1][0]]
         lps, words = [], []
-        for slot in slots:
+        for slot in range(lo, hi):
             tok = int(np.argmax(logits))
             lps.append(float(log_softmax(logits)[tok]))
             x[slot] = params.embed[tok] + params.pos[slot]
@@ -534,9 +521,9 @@ def decode_objects(
             if tok == params.end_id:
                 break
             words.append(params.vocab[tok])
-            if slot < slots[-1]:
+            if slot < hi - 1:
                 logits = _logits(push(slot + 1)[-1:], params)[0]
-        if seen_later:  # later chunks read this one's keys and values, its last token's too
+        if readers[lo] > 1:  # later chunks read this one's keys and values, its last token's too
             push(slot + 1)
         steps.append(tuple(lps))
         labels.append(" ".join(words))

@@ -33,7 +33,7 @@ class FeatureGrid:
             raise ValueError(f"feature values must be a non-empty 3-D array, got shape {values.shape}")
         if not np.isfinite(values).all():
             raise ValueError("feature grid contains non-finite values")
-        object.__setattr__(self, "values", _readonly(values.copy()))
+        object.__setattr__(self, "values", _readonly(values))
 
     @property
     def rows(self) -> int:
@@ -71,7 +71,7 @@ class EncoderParams:
             raise ValueError(f"projection shape {proj.shape} is not ({fan_in}, dim)")
         if proj.shape[1] < 1:
             raise ValueError(f"encoder dim must be >= 1, got {proj.shape[1]}")
-        object.__setattr__(self, "projection", _readonly(proj.copy()))
+        object.__setattr__(self, "projection", _readonly(proj))
 
     @property
     def dim(self) -> int:

@@ -22,10 +22,13 @@ MAX_RLE_PIXELS = 1 << 26  # 8192 x 8192, above any LVIS or SA-1B image
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    """A read-only view of ``arr``; the caller's array stays writable."""
-    view = arr.view()
-    view.flags.writeable = False
-    return view
+    """``arr`` frozen: a writable array is copied first, so no caller keeps a
+    handle that writes into the result.  A read-only array is taken as is:
+    producers flag their fresh arrays so that they are not copied."""
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,7 @@ def read_pgm(path) -> RasterImage:
     if arr.min() < 0 or arr.max() > maxval:
         raise ValueError("pgm parse error: pixel value outside 0..maxval")
 
+    arr.flags.writeable = False
     return RasterImage(arr.reshape(height, width))
 
 
@@ -206,6 +210,7 @@ def mask_from_rle(rle: dict) -> BinaryMask:
         raise ValueError(f"rle length error: counts sum {total} != {h * w}")
     values = np.arange(len(counts)) % 2 == 1  # runs alternate false, true, ...
     flat = np.repeat(values, counts)
+    flat.flags.writeable = False
     return BinaryMask(flat.reshape((h, w), order="F"))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import EncoderParams, FeatureGrid, GRID_SIDE, encode
-from .maskio import BinaryMask, RasterImage
+from .maskio import BinaryMask, RasterImage, _readonly
 from .region import _check_dims, context_crop_window, downsample_to_grid, extract_and_resize, resize_image, tight_bbox
 
 MAX_MASKS = 30
@@ -46,12 +46,8 @@ class MaskTokenSet:
         keys = idx[:, 0].astype(np.int64) * (2**20) + idx[:, 1]
         if not (np.diff(keys) > 0).all():
             raise ValueError("grid_indices must be strictly increasing row-major")
-        tokens = tokens.copy()
-        tokens.flags.writeable = False
-        idx = idx.copy()
-        idx.flags.writeable = False
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "grid_indices", idx)
+        object.__setattr__(self, "tokens", _readonly(tokens))
+        object.__setattr__(self, "grid_indices", _readonly(idx))
 
     @property
     def count(self) -> int:

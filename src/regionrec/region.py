@@ -87,7 +87,7 @@ class GridMask:
             raise ValueError(f"grid mask must be a 2-D array, got shape {active.shape}")
         if not active.any():
             raise ValueError("grid mask has no active cell")
-        object.__setattr__(self, "active", _readonly(active.copy()))
+        object.__setattr__(self, "active", _readonly(active))
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +160,7 @@ def _resample(image: RasterImage, xs: np.ndarray, ys: np.ndarray) -> RasterImage
     bot = horiz[which[len(ys) :]]
     bot *= wy
     out += bot
+    out.flags.writeable = False
     return RasterImage(out)
 
 

@@ -494,4 +494,7 @@ def test_a_sequence_longer_than_max_len_exits_2(argv, files, monkeypatch, capsys
 def test_maskviz_rejects_a_layout_longer_than_the_decoder_takes(capsys):
     assert run(["maskviz", "--layout", "image:100000000 mask0:1 out0:1"]) == 2
     _assert_one_line_input_error(capsys, "100000002 positions", f"max_len={harness.BENCH_DEC_MAX_LEN}")
+    # a length past int64 is still counted, not wrapped
+    assert run(["maskviz", "--layout", "image:9223372036854775807 mask0:1 out0:1"]) == 2
+    _assert_one_line_input_error(capsys, "9223372036854775809 positions", "exceeds max_len")
     assert run(["maskviz", "--layout", f"image:{harness.BENCH_DEC_MAX_LEN - 2} mask0:1 out0:1"]) == 0

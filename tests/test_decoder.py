@@ -149,6 +149,13 @@ def params():
 
 
 @pytest.fixture(scope="module")
+def cli_params():
+    """The CLI decoder's shape: dim 32, 2 heads, a 64-word vocabulary."""
+    return DecoderParams.seeded(5, make_vocab([f"w{i}" for i in range(60)]), dim=32, heads=2, layers=2,
+                                enc_dim=ENC_DIM, max_len=256)
+
+
+@pytest.fixture(scope="module")
 def wide_params():
     """dim 128, where 4-row padding of the decode step's products is not
     bit-equal to ``forward``'s rows."""
@@ -259,7 +266,8 @@ def test_forward_matches_reference_on_edge_layouts(header, params, rng):
 def test_blocks_follow_the_segment_table(config, params, rng):
     """Every live row lies in exactly one block, which stays inside its
     segment and whose keys up to the row are the oracle's visible set;
-    separator and dead rows lie in no block."""
+    separator and dead rows lie in no block.  ``bits``, drawn from the
+    blocks, is the oracle's matrix."""
     for _ in range(20):
         layout = random_layout(rng)
         n = layout.n
@@ -273,8 +281,10 @@ def test_blocks_follow_the_segment_table(config, params, rng):
             want = oracle_cascade_bits(layout, config)
             want[dead] = False
             want[:, dead] = False
+            mask = build_cascade_mask(layout, config).without(dead)
+            assert np.array_equal(mask.bits, want)
             in_blocks = np.zeros(n, dtype=np.int64)
-            for start, stop, keys in build_cascade_mask(layout, config).without(dead).blocks():
+            for start, stop, keys in mask.blocks():
                 in_blocks[start:stop] += 1
                 assert segment_of[start] == segment_of[stop - 1]
                 for r in range(start, stop):
@@ -381,10 +391,10 @@ def test_each_decode_step_equals_a_teacher_forced_forward(config, params, rng):
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)
-@pytest.mark.parametrize("wide", [False, True], ids=["dim16", "dim128"])
-def test_cached_decode_equals_the_per_step_forward(config, wide, params, wide_params, rng):
+@pytest.mark.parametrize("shape", ["dim16", "dim128", "cli"])
+def test_cached_decode_equals_the_per_step_forward(config, shape, params, wide_params, cli_params, rng):
     """Labels and every log-prob are bit-equal to the per-step full forward."""
-    dec = wide_params if wide else params
+    dec = {"dim16": params, "dim128": wide_params, "cli": cli_params}[shape]
     text_ids = [dec.token_id("<start>"), dec.token_id("w0")]
     for slots in (1, 2, 3, 5, 16):
         side = int(rng.integers(1, 5))

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from regionrec.encoder import FeatureGrid
+from regionrec.attnmask import parse_layout_header
+from regionrec.decoder import TokenSequence
+from regionrec.encoder import EncoderParams, FeatureGrid
 from regionrec.maskio import (
     MAX_RLE_PIXELS,
     BinaryMask,
@@ -15,6 +17,7 @@ from regionrec.maskio import (
     read_records,
     write_records,
 )
+from regionrec.prompt import MaskTokenSet
 from regionrec.region import GridMask
 
 from conftest import random_mask, write_pgm
@@ -138,6 +141,30 @@ def test_an_array_of_the_wrong_rank_or_empty_is_rejected(build, arr):
     """Sizes are read from the array, so its rank and extent are what is checked."""
     with pytest.raises(ValueError):
         build(arr)
+
+
+@pytest.mark.parametrize(
+    "build, name, arr",
+    [(RasterImage, "data", np.ones((4, 4))), (BinaryMask, "bits", np.ones((4, 4), bool)),
+     (FeatureGrid, "values", np.ones((2, 2, 3))), (GridMask, "active", np.ones((4, 4), bool)),
+     (lambda a: EncoderParams(2, a), "projection", np.ones((4, 3))),
+     (lambda a: MaskTokenSet(a, np.array([[0, 0], [0, 1]])), "tokens", np.ones((2, 3))),
+     (lambda a: TokenSequence(np.full(2, -1), a, parse_layout_header("image:2")), "injected", np.ones((2, 3)))],
+    ids=["image", "mask", "grid", "gridmask", "encoder", "tokenset", "sequence"],
+)
+def test_a_write_to_the_callers_array_does_not_reach_the_frozen_one(build, name, arr):
+    frozen = getattr(build(arr), name)
+    before = frozen.copy()
+    arr[0] = 0
+    assert np.array_equal(frozen, before)
+    assert not frozen.flags.writeable
+
+
+def test_a_read_only_array_is_frozen_without_a_copy():
+    """The loaders flag their fresh arrays read-only so that they are not copied."""
+    arr = np.ones((2, 2))
+    arr.flags.writeable = False
+    assert RasterImage(arr).data is arr
 
 
 def test_records_jsonl_round_trip(tmp_path, rng):
