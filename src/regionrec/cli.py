@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import attnmask, decoder, harness, maskio, metrics, prompt
-from .attnmask import CascadeConfig, build_cascade_mask, canonical_layout, dump_attention_mask
+from .attnmask import CascadeConfig, build_cascade_mask, dump_attention_mask
 from .encoder import EncoderParams
 from .harness import ScriptedOracle, bench_decoder_params, run_filter_pipeline, run_scaling_bench, synthesize_mask_corpus
 from .prompt import OUTPUT_SLOTS, build_prompt_batch, dump_token_set
@@ -58,9 +58,7 @@ def _cmd_tokenize(args) -> int:
     masks = _read_masks(args.masks)
     params = EncoderParams.seeded(args.seed, dim=args.enc_dim)
     batch = build_prompt_batch(image, masks, params, scale=args.scale)
-    image_len = batch.image_tokens.rows * batch.image_tokens.cols
-    counts = [ts.count for ts in batch.mask_token_sets]
-    layout = canonical_layout(image_len, args.text_len, counts, OUTPUT_SLOTS)
+    layout = batch.layout(args.text_len, OUTPUT_SLOTS)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for ts in batch.mask_token_sets:
@@ -70,8 +68,8 @@ def _cmd_tokenize(args) -> int:
         json.dumps(
             {
                 "masks": batch.num_masks,
-                "token_counts": counts,
-                "image_tokens": image_len,
+                "token_counts": [ts.count for ts in batch.mask_token_sets],
+                "image_tokens": batch.image_tokens.rows * batch.image_tokens.cols,
                 "total_sequence": layout.n,
             },
             sort_keys=True,
@@ -134,7 +132,7 @@ def _cmd_bench(args) -> int:
     enc = EncoderParams.seeded(args.seed, dim=args.enc_dim)
     dec = bench_decoder_params(seed=args.seed, enc_dim=args.enc_dim)
     report = run_scaling_bench(k_values, image, masks, enc, dec, text_len=args.text_len, repeats=args.repeats)
-    _emit(args, report.to_json())
+    _emit(args, json.dumps(report, sort_keys=True))
     return 0
 
 

@@ -52,7 +52,6 @@ from .attnmask import (
     CascadeConfig,
     SequenceLayout,
     build_cascade_mask,
-    canonical_layout,
 )
 from .maskio import _readonly
 from .prng import Xoshiro256StarStar, quantized_uniform
@@ -68,12 +67,7 @@ _HEADER_BYTES = 24
 
 def make_vocab(words) -> tuple[str, ...]:
     """Vocab with the four specials first (pad=0, start=1, sep=2, end=3)."""
-    out = list(SPECIALS)
-    for w in words:
-        if w in out:
-            raise ValueError(f"duplicate vocab entry {w!r}")
-        out.append(w)
-    return tuple(out)
+    return SPECIALS + tuple(words)
 
 
 @dataclass(frozen=True)
@@ -114,6 +108,8 @@ class DecoderParams:
                 raise ValueError(f"decoder {name} must be >= 1, got {getattr(self, name)}")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
+        if not all(isinstance(w, str) for w in self.vocab) or len(set(self.vocab)) < len(self.vocab):
+            raise ValueError("vocab error: entries must be distinct strings")
         for special in SPECIALS:
             if special not in self.vocab:
                 raise ValueError(f"config error: vocabulary missing special {special!r}")
@@ -439,6 +435,15 @@ def assemble_sequence(
     return TokenSequence(ids=ids, injected=injected, layout=layout)
 
 
+def prompt_sequence(batch: PromptBatch, text_ids, params: DecoderParams, output_slots: int) -> TokenSequence:
+    """The batch's prompt on ``batch.layout``: grid, text and mask tokens, every output slot padded."""
+    grid, text_ids = batch.image_tokens, list(text_ids)
+    if grid.dim != params.enc_dim:
+        raise ValueError("shape error: encoder dim does not match adapter input")
+    mask_values = {ts.mask_index: ts.tokens for ts in batch.mask_token_sets}
+    return assemble_sequence(batch.layout(len(text_ids), output_slots), params, grid.tokens(), mask_values, text_ids)
+
+
 def encode_label(label: str, params: DecoderParams) -> list[int]:
     """Whitespace-tokenised label to ids, with the trailing end token."""
     return [params.token_id(w) for w in label.split()] + [params.end_id]
@@ -478,19 +483,8 @@ def decode_objects(
     """
     if max_label_len < 1:
         raise ValueError(f"max_label_len must be >= 1, got {max_label_len}")
-    grid = batch.image_tokens
-    if grid.dim != params.enc_dim:
-        raise ValueError("shape error: encoder dim does not match adapter input")
-    text_ids = list(text_ids)
-    mask_lens = [ts.count for ts in batch.mask_token_sets]
-    layout = canonical_layout(grid.rows * grid.cols, len(text_ids), mask_lens, max_label_len)
-    seq = assemble_sequence(
-        layout,
-        params,
-        image_values=grid.tokens(),
-        mask_values={ts.mask_index: ts.tokens for ts in batch.mask_token_sets},
-        text_ids=text_ids,
-    )
+    seq = prompt_sequence(batch, text_ids, params, max_label_len)
+    layout = seq.layout
     blocks = build_cascade_mask(layout, config).blocks()
     first_slot = layout.n - layout.num_objects * max_label_len  # the chunks close the layout
     prefix = [b for b in blocks if b[0] < first_slot]
@@ -614,7 +608,9 @@ def teacher_forced_loss(
 
 def load_decoder_params(blob_path, vocab_path) -> DecoderParams:
     with open(vocab_path, "r", encoding="ascii") as fh:
-        vocab = tuple(json.load(fh))
+        vocab = json.load(fh)
+    if not isinstance(vocab, list):
+        raise ValueError(f"vocab file {vocab_path} must hold a JSON array")
     with open(blob_path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
@@ -634,6 +630,8 @@ def load_decoder_params(blob_path, vocab_path) -> DecoderParams:
             f"decoder blob size mismatch: header implies {4 * sum(sizes)} weight bytes, found {len(blob) - _HEADER_BYTES}"
         )
     data = np.frombuffer(blob, dtype="<f4", offset=_HEADER_BYTES).astype(np.float64)
+    if not np.isfinite(data).all():
+        raise ValueError("numeric error: decoder blob holds a non-finite weight")
     chunks = np.split(data, np.cumsum(sizes)[:-1])
     tensors = {name: chunk.reshape(shape) for (name, shape, _), chunk in zip(layout, chunks)}
-    return DecoderParams._from_tensors(tensors, vocab, heads, layers)
+    return DecoderParams._from_tensors(tensors, tuple(vocab), heads, layers)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attnmask import IMAGE, MASK, CascadeConfig, build_cascade_mask, canonical_layout
-from .decoder import START, DecoderParams, assemble_sequence, forward, make_vocab
+from .attnmask import CascadeConfig, build_cascade_mask
+from .decoder import START, DecoderParams, forward, make_vocab, prompt_sequence
 from .encoder import GRID_SIDE, EncoderParams
 from .maskio import BinaryMask, MaskRecord, RasterImage
 from .prng import Xoshiro256StarStar
@@ -125,53 +125,6 @@ def synthesize_mask_corpus(n_masks: int, seed: int = 0) -> tuple[RasterImage, li
     return image, masks
 
 
-@dataclass(frozen=True)
-class ScalingRow:
-    k: int
-    encoder_flops: int
-    decoder_flops: int
-    comparator_flops: int
-    wall_time_ms: float | None  # None when no timed pass ran
-
-    @property
-    def total_flops(self) -> int:
-        return self.encoder_flops + self.decoder_flops
-
-    @property
-    def encoder_share(self) -> float:
-        return self.encoder_flops / self.total_flops
-
-    @property
-    def decoder_share(self) -> float:
-        return self.decoder_flops / self.total_flops
-
-
-# the columns of each row; wall_time_ms only when timed
-_COLUMNS = ("k", "total_flops", "encoder_share", "decoder_share", "comparator_flops", "wall_time_ms")
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    rows: tuple[ScalingRow, ...]
-
-    def __post_init__(self):
-        totals = [r.total_flops for r in self.rows]
-        if any(b < a for a, b in zip(totals, totals[1:])):
-            raise ValueError("total_flops must be monotone non-decreasing in K")
-
-    def to_json(self) -> str:
-        first, last = self.rows[0], self.rows[-1]
-        columns = _COLUMNS if all(r.wall_time_ms is not None for r in self.rows) else _COLUMNS[:-1]
-        return json.dumps(
-            {
-                "rows": [{name: getattr(r, name) for name in columns} for r in self.rows],
-                "growth_factor": last.total_flops / first.total_flops,
-                "comparator_growth_factor": last.comparator_flops / first.comparator_flops,
-            },
-            sort_keys=True,
-        )
-
-
 def check_k_values(k_values: list[int]) -> None:
     """Reject an empty, non-positive or descending list of instance counts."""
     if not k_values or min(k_values) < 1 or any(b < a for a, b in zip(k_values, k_values[1:])):
@@ -186,13 +139,16 @@ def run_scaling_bench(
     dec_params: DecoderParams,
     text_len: int = BENCH_TEXT_LEN,
     repeats: int = 5,
-) -> ScalingReport:
+) -> dict:
     """Build real prompt batches, time the forward pass, and evaluate the
     FLOP model per instance count, under the full cascade.
 
+    Returns the JSON-ready report: one row per K (``k``, ``total_flops``,
+    ``encoder_share``, ``decoder_share``, ``comparator_flops`` and
+    ``wall_time_ms``), ``growth_factor`` and ``comparator_growth_factor``.
     Wall time covers prompt construction plus one decoder forward over the
     fully materialised layout; the median of ``repeats`` runs is reported.
-    ``repeats=0`` runs no timed pass and leaves ``wall_time_ms`` None.
+    ``repeats=0`` runs no timed pass and leaves ``wall_time_ms`` out.
     FLOP numbers come from the analytic model.  A layout longer than the
     decoder's ``max_len`` is rejected, timed or not.
     """
@@ -201,43 +157,46 @@ def run_scaling_bench(
         raise ValueError(f"input error: need {max(k_values)} masks, corpus has {len(masks)}")
     if repeats < 0:
         raise ValueError(f"input error: repeats must be >= 0, got {repeats}")
+    if text_len < 0:  # the text ids below would silently be none
+        raise ValueError(f"text length must be >= 0, got {text_len}")
+    dec_params.check_length(text_len)  # before text_len ids are built
+    text_ids = [dec_params.token_id(START)] * text_len
     config = CascadeConfig.full_cascade()
 
-    def one_pass(k: int):
-        """Layout and cascade mask of the first k masks' prompt, and the
-        (encoder, decoder) FLOPs of one pass over them."""
-        batch = build_prompt_batch(image, masks[:k], enc_params)
-        mask_lens = [ts.count for ts in batch.mask_token_sets]
-        layout = canonical_layout(
-            batch.image_tokens.rows * batch.image_tokens.cols, text_len, mask_lens, OUTPUT_SLOTS
-        )
-        dec_params.check_length(layout.n)  # before the n x n mask
-        attn = build_cascade_mask(layout, config)
-        injected = sum(seg.length for seg in layout.segments if seg.kind in (IMAGE, MASK))
-        flops = encoder_flops(k, enc_params), decoder_flops(layout.n, attn.visible_pairs(), injected, dec_params)
-        return layout, attn, flops
+    def prompt(k: int):
+        return prompt_sequence(build_prompt_batch(image, masks[:k], enc_params), text_ids, dec_params, OUTPUT_SLOTS)
 
-    k1_total = sum(one_pass(1)[2])  # the one-mask-per-pass comparator costs K times this
-    text_ids = [dec_params.token_id(START)] * text_len
+    def one_pass(k: int):
+        """Cascade mask of the first k masks' prompt, and the (encoder,
+        decoder) FLOPs of one pass over it."""
+        seq = prompt(k)
+        attn = build_cascade_mask(seq.layout, config)
+        dec_flops = decoder_flops(seq.n, attn.visible_pairs(), int((seq.ids < 0).sum()), dec_params)
+        return attn, (encoder_flops(k, enc_params), dec_flops)
+
+    k1_total = sum(one_pass(1)[1])  # the one-mask-per-pass comparator costs K times this
     rows = []
     for k in k_values:
-        layout, attn, (enc_flops, dec_flops) = one_pass(k)
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            b = build_prompt_batch(image, masks[:k], enc_params)
-            seq = assemble_sequence(
-                layout,
-                dec_params,
-                image_values=b.image_tokens.tokens(),
-                mask_values={ts.mask_index: ts.tokens for ts in b.mask_token_sets},
-                text_ids=text_ids,
-            )
-            forward(seq, attn, dec_params)
-            times.append((time.perf_counter() - t0) * 1000.0)
-        wall = statistics.median(times) if times else None
-        rows.append(ScalingRow(k, enc_flops, dec_flops, comparator_flops=k * k1_total, wall_time_ms=wall))
-    return ScalingReport(rows=tuple(rows))
+        attn, (enc_flops, dec_flops) = one_pass(k)
+        total = enc_flops + dec_flops
+        row = {"k": k, "total_flops": total, "encoder_share": enc_flops / total, "decoder_share": dec_flops / total,
+               "comparator_flops": k * k1_total}
+        if repeats:
+            times = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                forward(prompt(k), attn, dec_params)
+                times.append((time.perf_counter() - t0) * 1000.0)
+            row["wall_time_ms"] = statistics.median(times)
+        rows.append(row)
+    totals = [row["total_flops"] for row in rows]
+    if any(b < a for a, b in zip(totals, totals[1:])):
+        raise ValueError("total_flops must be monotone non-decreasing in K")
+    return {
+        "rows": rows,
+        "growth_factor": totals[-1] / totals[0],
+        "comparator_growth_factor": rows[-1]["comparator_flops"] / rows[0]["comparator_flops"],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,14 @@ MAX_RLE_PIXELS = 1 << 26  # 8192 x 8192, above any LVIS or SA-1B image
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    """``arr`` frozen: a writable array is copied first, so no caller keeps a
-    handle that writes into the result.  A read-only array is taken as is:
-    producers flag their fresh arrays so that they are not copied."""
-    if arr.flags.writeable:
+    """``arr`` frozen: it is copied first unless it and every array on its
+    ``base`` chain are read-only, so no caller keeps a handle that writes
+    into the result.  Producers flag their fresh arrays so that they are not
+    copied."""
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if isinstance(base, np.ndarray):  # a writable array can reach the data
         arr = arr.copy()
         arr.flags.writeable = False
     return arr

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .attnmask import SequenceLayout, canonical_layout
 from .encoder import EncoderParams, FeatureGrid, GRID_SIDE, encode
 from .maskio import BinaryMask, RasterImage, _readonly
 from .region import _check_dims, context_crop_window, downsample_to_grid, extract_and_resize, resize_image, tight_bbox
@@ -73,6 +74,11 @@ class PromptBatch:
     @property
     def num_masks(self) -> int:
         return len(self.mask_token_sets)
+
+    def layout(self, text_len: int, output_slots: int) -> SequenceLayout:
+        """The canonical layout of this batch's prompt, ``output_slots`` slots per object."""
+        grid = self.image_tokens
+        return canonical_layout(grid.rows * grid.cols, text_len, [ts.count for ts in self.mask_token_sets], output_slots)
 
 
 def mask2token(

@@ -155,11 +155,14 @@ def test_repeats_0_runs_no_timed_pass(monkeypatch, capsys):
     calls = []
     real_forward = harness.forward
     monkeypatch.setattr(harness, "forward", lambda *a: calls.append(1) or real_forward(*a))
+    untimed = {"k", "total_flops", "encoder_share", "decoder_share", "comparator_flops"}
     assert run(["bench", "--k-values", "1,2", "--repeats", "1"]) == 0
-    assert len(calls) == 2 and "wall_time_ms" in json.loads(capsys.readouterr().out)["rows"][0]
+    assert len(calls) == 2
+    assert [set(row) for row in json.loads(capsys.readouterr().out)["rows"]] == [untimed | {"wall_time_ms"}] * 2
     calls.clear()
     assert run(["bench", "--k-values", "1,2", "--repeats", "0"]) == 0
-    assert calls == [] and "wall_time_ms" not in json.loads(capsys.readouterr().out)["rows"][0]
+    assert calls == []
+    assert [set(row) for row in json.loads(capsys.readouterr().out)["rows"]] == [untimed] * 2
 
 
 def _digest(data: bytes) -> str:
@@ -313,6 +316,32 @@ def test_decoder_blob_of_the_wrong_size_exits_2(edit, files, capsys):
     assert run(argv + _small_dec0(files, edit)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "size mismatch" in err and err.count("\n") == 1
+
+
+_WORD_PARAMS = decoder.DecoderParams.seeded(0, decoder.make_vocab(["cat"]), dim=8, layers=1)
+_SPECIALS_JSON = '"<pad>", "<start>", "<sep>", "<end>"'
+
+
+@pytest.mark.parametrize(
+    "vocab, edit, word",
+    [(f"[{_SPECIALS_JSON}, 5]", None, "distinct strings"),
+     (f'[{_SPECIALS_JSON}, "<end>"]', None, "distinct strings"),
+     ('{"<pad>": 0, "<start>": 1, "<sep>": 2, "<end>": 3, "cat": 4}', None, "must hold a JSON array"),
+     (None, lambda b: b[:-4] + struct.pack("<f", float("nan")), "non-finite weight")],
+    ids=["non-string", "duplicate", "object", "nan-weight"],
+)
+def test_a_bad_vocab_or_weight_exits_2(vocab, edit, word, files, capsys):
+    """Each vocabulary has the blob's size, so only the vocabulary or the
+    weight rule can reject the pair."""
+    save_decoder_params(_WORD_PARAMS, files / "dec.bin", files / "vocab.json")
+    if vocab is not None:
+        (files / "vocab.json").write_text(vocab)
+    if edit is not None:
+        (files / "dec.bin").write_bytes(edit((files / "dec.bin").read_bytes()))
+    argv = ["decode", "--image", str(files / "img.pgm"), "--masks", str(files / "masks.jsonl"), "--max-label-len", "2",
+            "--params", str(files / "dec.bin"), "--vocab", str(files / "vocab.json")]
+    assert run(argv) == 2
+    _assert_one_line_input_error(capsys, word)
 
 
 @pytest.mark.parametrize("flags", [0, 2, 3])
@@ -475,11 +504,22 @@ def test_an_rle_size_outside_the_pixel_cap_exits_2(size, counts, files, capsys):
     _assert_one_line_input_error(capsys, "line 1", "rle size error", str(MAX_RLE_PIXELS))
 
 
+@pytest.mark.parametrize("command", ["tokenize", "bench"])
+def test_a_negative_text_len_exits_2(command, files, monkeypatch, capsys):
+    _small_bench_decoder(monkeypatch)
+    argv = {"tokenize": ["tokenize", "--image", str(files / "img.pgm"), "--masks", str(files / "masks.jsonl"),
+                         "--out-dir", str(files / "tok")],
+            "bench": ["bench", "--k-values", "1", "--repeats", "0"]}[command]
+    assert run(argv + ["--text-len", "-1"]) == 2
+    _assert_one_line_input_error(capsys, "text length must be >= 0, got -1")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["decode", "--max-label-len", "1000000000000"], ["bench", "--k-values", "1", "--repeats", "0", "--text-len", "3000"],
-     ["bench", "--k-values", "1", "--text-len", "1000000000000"]],
-    ids=["decode-max-label-len", "bench-untimed", "bench-text-len"],
+     ["bench", "--k-values", "1", "--text-len", "1000000000000"],
+     ["bench", "--k-values", "1", "--repeats", "0", "--text-len", "2040"]],
+    ids=["decode-max-label-len", "bench-untimed", "bench-text-len", "bench-layout"],
 )
 def test_a_sequence_longer_than_max_len_exits_2(argv, files, monkeypatch, capsys):
     """The layout length is checked before anything of that length is

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from regionrec import maskio, region
 from regionrec.attnmask import parse_layout_header
 from regionrec.decoder import TokenSequence
 from regionrec.encoder import EncoderParams, FeatureGrid
@@ -165,6 +166,34 @@ def test_a_read_only_array_is_frozen_without_a_copy():
     arr = np.ones((2, 2))
     arr.flags.writeable = False
     assert RasterImage(arr).data is arr
+
+
+@pytest.mark.parametrize("build, name, dtype", [(RasterImage, "data", float), (BinaryMask, "bits", bool)],
+                         ids=["image", "mask"])
+def test_a_read_only_view_of_a_writable_array_is_copied(build, name, dtype):
+    arr = np.ones((4, 4), dtype)
+    view = arr.view()
+    view.flags.writeable = False
+    frozen = getattr(build(view), name)
+    arr[0, 0] = 0
+    assert frozen[0, 0] == 1 and not np.shares_memory(frozen, arr)
+
+
+def _spy(monkeypatch, module, cls):
+    """Record each array ``module`` passes to ``cls``."""
+    seen = []
+    monkeypatch.setattr(module, cls.__name__, lambda arr: seen.append(arr) or cls(arr))
+    return seen
+
+
+def test_the_loaders_arrays_are_frozen_without_a_copy(tmp_path, monkeypatch):
+    write_pgm(RasterImage(np.arange(12.0).reshape(3, 4)), tmp_path / "img.pgm")
+    seen = _spy(monkeypatch, maskio, RasterImage)
+    assert read_pgm(tmp_path / "img.pgm").data is seen[0]
+    seen = _spy(monkeypatch, maskio, BinaryMask)
+    assert mask_from_rle({"size": [3, 4], "counts": [5, 7]}).bits is seen[0]
+    seen = _spy(monkeypatch, region, RasterImage)
+    assert region.resize_image(RasterImage(np.ones((4, 4))), 3, 5).data is seen[0]
 
 
 def test_records_jsonl_round_trip(tmp_path, rng):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from regionrec.attnmask import canonical_layout
+from regionrec.decoder import DecoderParams, assemble_sequence, make_vocab, prompt_sequence
 from regionrec.encoder import EncoderParams, encode
 from regionrec.maskio import BinaryMask, RasterImage
 from regionrec.prompt import MaskTokenSet, build_prompt_batch, dump_token_set, mask2token
@@ -136,6 +137,26 @@ def test_budget_grows_by_mask_plus_sep_plus_outputs():
     one = canonical_layout(256, 4, [256], 8).n
     two = canonical_layout(256, 4, [256, 256], 8).n
     assert two - one == 256 + 1 + 8
+
+
+@pytest.mark.parametrize("text_len", [0, 4])
+def test_batch_layout_is_the_canonical_layout(text_len, rng):
+    batch = build_prompt_batch(_image(rng), [random_mask(rng, 64, 64, p=0.1) for _ in range(3)], ENC)
+    counts = [ts.count for ts in batch.mask_token_sets]
+    assert batch.layout(text_len, 5) == canonical_layout(256, text_len, counts, 5)
+
+
+def test_prompt_sequence_is_the_hand_assembled_sequence(rng):
+    params = DecoderParams.seeded(1, make_vocab(["cat"]), dim=8, layers=1, enc_dim=8)
+    batch = build_prompt_batch(_image(rng), [random_mask(rng, 64, 64, p=0.1) for _ in range(2)], ENC)
+    layout = canonical_layout(256, 2, [ts.count for ts in batch.mask_token_sets], 3)
+    want = assemble_sequence(layout, params, batch.image_tokens.tokens(),
+                             {ts.mask_index: ts.tokens for ts in batch.mask_token_sets}, [1, 4])
+    got = prompt_sequence(batch, iter([1, 4]), params, 3)
+    assert got.layout == want.layout
+    assert np.array_equal(got.ids, want.ids) and np.array_equal(got.injected, want.injected)
+    with pytest.raises(ValueError, match="encoder dim"):
+        prompt_sequence(batch, [1, 4], DecoderParams.seeded(1, make_vocab([]), dim=8, layers=1, enc_dim=4), 3)
 
 
 def load_token_set(json_path, blob_path) -> MaskTokenSet:
