@@ -110,6 +110,11 @@ class DecoderParams:
             raise ValueError("dim must be divisible by heads")
         if not all(isinstance(w, str) for w in self.vocab) or len(set(self.vocab)) < len(self.vocab):
             raise ValueError("vocab error: entries must be distinct strings")
+        # a decoded label joins words with spaces and encode_label splits it
+        # on whitespace, so an entry must survive that split whole
+        for w in self.vocab:
+            if w.split() != [w]:
+                raise ValueError(f"vocab error: entry {w!r} is not one word")
         for special in SPECIALS:
             if special not in self.vocab:
                 raise ValueError(f"config error: vocabulary missing special {special!r}")

@@ -327,8 +327,11 @@ _SPECIALS_JSON = '"<pad>", "<start>", "<sep>", "<end>"'
     [(f"[{_SPECIALS_JSON}, 5]", None, "distinct strings"),
      (f'[{_SPECIALS_JSON}, "<end>"]', None, "distinct strings"),
      ('{"<pad>": 0, "<start>": 1, "<sep>": 2, "<end>": 3, "cat": 4}', None, "must hold a JSON array"),
-     (None, lambda b: b[:-4] + struct.pack("<f", float("nan")), "non-finite weight")],
-    ids=["non-string", "duplicate", "object", "nan-weight"],
+     (None, lambda b: b[:-4] + struct.pack("<f", float("nan")), "non-finite weight"),
+     (f'[{_SPECIALS_JSON}, "a b"]', None, "not one word"),
+     (f'[{_SPECIALS_JSON}, ""]', None, "not one word"),
+     (f'[{_SPECIALS_JSON}, "\\t"]', None, "not one word")],
+    ids=["non-string", "duplicate", "object", "nan-weight", "two-words", "empty", "whitespace"],
 )
 def test_a_bad_vocab_or_weight_exits_2(vocab, edit, word, files, capsys):
     """Each vocabulary has the blob's size, so only the vocabulary or the
@@ -342,6 +345,15 @@ def test_a_bad_vocab_or_weight_exits_2(vocab, edit, word, files, capsys):
             "--params", str(files / "dec.bin"), "--vocab", str(files / "vocab.json")]
     assert run(argv) == 2
     _assert_one_line_input_error(capsys, word)
+
+
+@pytest.mark.parametrize("command", ["tokenize", "decode", "bench"])
+def test_a_seed_outside_64_bits_exits_2(command, files, monkeypatch, capsys):
+    """``--seed -1`` would otherwise draw the weights of seed 2**64 - 1."""
+    _small_bench_decoder(monkeypatch)
+    good, _ = _subcommand_cases(files)[command]
+    assert run(["--seed", "-1", *good]) == 2
+    _assert_one_line_input_error(capsys, "seed")
 
 
 @pytest.mark.parametrize("flags", [0, 2, 3])

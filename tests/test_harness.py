@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,15 @@ from regionrec.encoder import EncoderParams
 from regionrec.harness import (
     QUESTION_TEMPLATE,
     ScriptedOracle,
+    bench_decoder_params,
     decoder_flops,
     run_filter_pipeline,
     run_scaling_bench,
     synthesize_mask_corpus,
 )
 from regionrec.maskio import BinaryMask, MaskRecord
+
+from conftest import save_decoder_params
 
 
 def test_decoder_flops_hand_count():
@@ -30,6 +35,15 @@ def test_decoder_flops_hand_count():
     adapter = 2 * 3 * 4 * d  # 48
     assert len(dec.vocab) == 4 and mask.visible_pairs() == 15
     assert decoder_flops(n, 15, 3, dec) == projections + attention + mlp + head + adapter == 840
+
+
+def test_bench_decoder_weights_are_pinned(tmp_path):
+    """The bench decoder's ~4.26M seeded draws, as the DEC0 bytes they save to."""
+    save_decoder_params(bench_decoder_params(0), tmp_path / "dec.bin", tmp_path / "vocab.json")
+    assert (
+        hashlib.sha256((tmp_path / "dec.bin").read_bytes()).hexdigest()
+        == "bdd542fa17ad64d83c7d027d773017282ff4eb0f7b832cd03bcc40185d3e7835"
+    )
 
 
 def test_scaling_bench_rejects_negative_repeats():
