@@ -7,8 +7,8 @@ than ``prompt.MAX_MASKS``, ``maskviz`` a layout longer than
 ``harness.BENCH_DEC_MAX_LEN``.  Every subcommand is deterministic under a
 fixed ``--seed`` (default 0).  Flags are the only way to set a value.
 
-Exit codes: 0 success, 2 input error (single-line diagnostic on stderr),
-3 internal invariant violation.
+Exit codes: 0 success, 2 input error (a ``ValueError`` or ``OSError``; one
+line on stderr), 3 any other exception, an internal invariant violation.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import attnmask, decoder, harness, maskio, metrics, prompt
@@ -36,83 +37,54 @@ _VARIANTS = {
 FIG4_PRESET = "image:2 text:1 mask0:2 sep:1 mask1:2 out0:1 sep:1 out1:1"
 
 
-def _emit(args, text: str) -> None:
-    if args.pretty and text.startswith("{"):
-        text = json.dumps(json.loads(text), indent=2, sort_keys=True)
-    out = sys.stdout
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
-
-
-def _read_masks(path) -> list:
-    """The masks of a records file, at most ``prompt.MAX_MASKS`` of them."""
-    records = maskio.read_records(path)
+def _prompt_batch(args):
+    """The prompt batch of ``--image`` and ``--masks`` (at most
+    ``prompt.MAX_MASKS`` masks) under the encoder of ``--seed``."""
+    image = maskio.read_pgm(args.image)
+    records = maskio.read_records(args.masks)
     if len(records) > prompt.MAX_MASKS:
         raise ValueError(f"capacity error: {len(records)} masks exceeds max_masks={prompt.MAX_MASKS}")
-    return [r.mask for r in records]
-
-
-def _cmd_tokenize(args) -> int:
-    image = maskio.read_pgm(args.image)
-    masks = _read_masks(args.masks)
     params = EncoderParams.seeded(args.seed, dim=args.enc_dim)
-    batch = build_prompt_batch(image, masks, params, scale=args.scale)
+    return build_prompt_batch(image, [r.mask for r in records], params, scale=args.scale)
+
+
+def _cmd_tokenize(args) -> dict:
+    batch = _prompt_batch(args)
     layout = batch.layout(args.text_len, OUTPUT_SLOTS)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for ts in batch.mask_token_sets:
         dump_token_set(ts, out_dir / f"mask_{ts.mask_index:03d}.json", out_dir / f"mask_{ts.mask_index:03d}.f32")
-    _emit(
-        args,
-        json.dumps(
-            {
-                "masks": batch.num_masks,
-                "token_counts": [ts.count for ts in batch.mask_token_sets],
-                "image_tokens": batch.image_tokens.rows * batch.image_tokens.cols,
-                "total_sequence": layout.n,
-            },
-            sort_keys=True,
-        ),
-    )
-    return 0
+    return {
+        "masks": batch.num_masks,
+        "token_counts": [ts.count for ts in batch.mask_token_sets],
+        "image_tokens": batch.image_tokens.rows * batch.image_tokens.cols,
+        "total_sequence": layout.n,
+    }
 
 
-def _cmd_maskviz(args) -> int:
+def _cmd_maskviz(args) -> str:
     layout = attnmask.parse_layout_header(args.layout)
     if layout.n > harness.BENCH_DEC_MAX_LEN:
         raise ValueError(f"layout of {layout.n} positions exceeds max_len={harness.BENCH_DEC_MAX_LEN}")
-    config = _VARIANTS[args.variant]()
-    mask = build_cascade_mask(layout, config)
-    _emit(args, dump_attention_mask(mask))
-    return 0
+    return dump_attention_mask(build_cascade_mask(layout, _VARIANTS[args.variant]()))
 
 
-def _cmd_decode(args) -> int:
+def _cmd_decode(args) -> dict:
     if bool(args.params) != bool(args.vocab):
         raise ValueError("--params and --vocab must be given together")
-    image = maskio.read_pgm(args.image)
-    masks = _read_masks(args.masks)
-    enc = EncoderParams.seeded(args.seed, dim=args.enc_dim)
-    batch = build_prompt_batch(image, masks, enc, scale=args.scale)
+    batch = _prompt_batch(args)
     if args.params:
         params = decoder.load_decoder_params(args.params, args.vocab)
     else:
-        words = sorted(
-            ({w for w in args.text.split()} | {f"w{i}" for i in range(60)}) - set(decoder.SPECIALS)
-        )
-        params = decoder.DecoderParams.seeded(
-            args.seed, decoder.make_vocab(words), enc_dim=args.enc_dim
-        )
+        words = sorted(({w for w in args.text.split()} | {f"w{i}" for i in range(60)}) - set(decoder.SPECIALS))
+        params = decoder.DecoderParams.seeded(args.seed, decoder.make_vocab(words), enc_dim=args.enc_dim)
     text_ids = [params.token_id(w) for w in args.text.split()]
-    result = decoder.decode_objects(
-        batch, text_ids, params, config=_VARIANTS[args.variant](), max_label_len=args.max_label_len
-    )
-    _emit(args, result.to_json())
-    return 0
+    config = _VARIANTS[args.variant]()
+    return asdict(decoder.decode_objects(batch, text_ids, params, config=config, max_label_len=args.max_label_len))
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> dict:
     pairs = metrics.read_predictions(args.pred)
     provider = metrics.TrigramHashProvider(dim=args.provider_dim)
     vocabulary = ()
@@ -120,23 +92,19 @@ def _cmd_eval(args) -> int:
         vocabulary = [ln.strip() for ln in Path(args.vocab_file).read_text().splitlines() if ln.strip()]
         if not vocabulary:
             raise ValueError(f"vocabulary file {args.vocab_file} holds no entry")
-    report = metrics.evaluate(pairs, provider, vocabulary)
-    _emit(args, report.to_json())
-    return 0
+    return asdict(metrics.evaluate(pairs, provider, vocabulary))
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> dict:
     k_values = [int(v) for v in args.k_values.split(",") if v]
     harness.check_k_values(k_values)  # before the slow decoder set-up
     image, masks = synthesize_mask_corpus(max(k_values), seed=args.seed)
     enc = EncoderParams.seeded(args.seed, dim=args.enc_dim)
     dec = bench_decoder_params(seed=args.seed, enc_dim=args.enc_dim)
-    report = run_scaling_bench(k_values, image, masks, enc, dec, text_len=args.text_len, repeats=args.repeats)
-    _emit(args, json.dumps(report, sort_keys=True))
-    return 0
+    return run_scaling_bench(k_values, image, masks, enc, dec, text_len=args.text_len, repeats=args.repeats)
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args) -> dict:
     records = maskio.read_records(args.records)
     if args.oracle == "always-yes":
         oracle = ScriptedOracle({})
@@ -151,13 +119,10 @@ def _cmd_pipeline(args) -> int:
         oracle = ScriptedOracle({(row["image_id"], row["label"]): row["answer"] for row in table})
     else:
         raise ValueError(f"unknown oracle {args.oracle!r} (use always-yes or file:PATH)")
-    report = run_filter_pipeline(
-        records, oracle, min_ratio=args.min_ratio, head_threshold=args.head_threshold
-    )
+    report = run_filter_pipeline(records, oracle, min_ratio=args.min_ratio, head_threshold=args.head_threshold)
     if args.out_records:
         maskio.write_records(report.kept_records, args.out_records)
-    _emit(args, report.to_json())
-    return 0
+    return report.summary()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,15 +190,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and print its report: a dict as JSON, maskviz's
+    dump as it is."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError, IndexError) as exc:
+        report = args.func(args)
+        if not isinstance(report, str):
+            report = json.dumps(report, sort_keys=True, indent=2 if args.pretty else None)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # invariant violations are bugs; surface loudly
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    print(report)
+    return 0
 
 
 if __name__ == "__main__":

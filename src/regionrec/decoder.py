@@ -282,20 +282,24 @@ _MIN_ROWS = 16
 
 
 def _dense(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` over at least ``_MIN_ROWS`` rows: fewer are padded by
-    repeating x.
+    """``x @ w`` over at least ``_MIN_ROWS`` rows and a multiple of 8
+    columns: fewer rows are padded by repeating x, other widths by zero
+    columns of w.
 
     On OpenBLAS 0.3.31 a product of few rows takes other kernels, whose sums
     round differently, so a decode step's rows multiplied alone would not be
     bit-equal to the same rows of ``forward``'s n-row product.  From 16 rows
     on they are for the CLI and bench decoders' weight shapes (4 rows still
-    differ at dim 128).  A weight whose column count leaves 1 over a multiple
-    of 8 (a 17- or 65-word head) still differs in the last bit.
+    differ at dim 128).  A width that leaves 1 to 4 over a multiple of 8 (a
+    65-word head) differs at any row count unless it is padded.  Widths that
+    are multiples of 8 keep the plain product.
     """
-    m = x.shape[0]
-    if m >= _MIN_ROWS:
-        return x @ w
-    return (np.concatenate([x] * -(-_MIN_ROWS // m)) @ w)[:m]
+    m, c = x.shape[0], w.shape[1]
+    if c % 8:
+        w = np.pad(w, ((0, 0), (0, -c % 8)))
+    if m < _MIN_ROWS:
+        x = np.concatenate([x] * -(-_MIN_ROWS // m))
+    return (x @ w)[:m, :c]
 
 
 def _block_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int, keys: np.ndarray,
@@ -553,7 +557,10 @@ def isolate_single_mask(
     embeddings) are kept.
 
     ``pad_id`` defaults to 0, which is where make_vocab puts the pad token.
+    ``layout`` must be ``seq.layout``.
     """
+    if layout != seq.layout:
+        raise ValueError(f"shape error: layout {layout.header()!r} is not the sequence's {seq.layout.header()!r}")
     k = layout.num_objects
     if not 0 <= keep < k:
         raise IndexError(f"keep {keep} out of range for K={k}")

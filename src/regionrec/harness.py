@@ -244,20 +244,20 @@ class PipelineReport:
     def final_kept(self) -> int:
         return len(self.kept_records)
 
+    def summary(self) -> dict:
+        return {
+            "input_count": self.input_count,
+            "stage1_kept": self.stage1_kept,
+            "stage1_dropped": self.stage1_dropped,
+            "head_categories": sorted(self.head_categories),
+            "stage2_queried": self.stage2_queried,
+            "stage2_dropped": self.stage2_dropped,
+            "flagged": self.flagged,
+            "final_kept": self.final_kept,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "input_count": self.input_count,
-                "stage1_kept": self.stage1_kept,
-                "stage1_dropped": self.stage1_dropped,
-                "head_categories": sorted(self.head_categories),
-                "stage2_queried": self.stage2_queried,
-                "stage2_dropped": self.stage2_dropped,
-                "flagged": self.flagged,
-                "final_kept": self.final_kept,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.summary(), sort_keys=True)
 
 
 def run_filter_pipeline(

@@ -100,8 +100,10 @@ class MaskRecord:
     label: str | None = None
 
     def __post_init__(self):
-        if not self.image_id:
-            raise ValueError("image_id must be non-empty")
+        if not isinstance(self.image_id, str) or not self.image_id:
+            raise ValueError("image_id must be a non-empty string")
+        if not isinstance(self.label, (str, type(None))):
+            raise ValueError(f"label must be a string or null, got {type(self.label).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ trigram) and L2-normalises.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,9 +69,6 @@ class EvalReport:
             raise ValueError("report needs n >= 1")
         if not (0.0 <= self.semantic_similarity <= 100.0 and 0.0 <= self.semantic_iou <= 100.0):
             raise ValueError("scores must lie in [0, 100]")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _word_set(label: str) -> set[str]:

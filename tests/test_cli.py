@@ -447,6 +447,17 @@ def test_a_records_line_that_is_not_an_object_exits_2(files, capsys):
     _assert_one_line_input_error(capsys, "line 3", "JSON object")
 
 
+@pytest.mark.parametrize("field, value, words", [("label", ["cat"], "label must be a string"),
+                                                  ("label", 5, "label must be a string"),
+                                                  ("image_id", 7, "image_id must be a non-empty string")])
+def test_a_record_whose_label_or_image_id_is_not_a_string_exits_2(field, value, words, files, capsys):
+    """A list label used to reach the filter's category count and exit 3."""
+    row = dict(json.loads((files / "masks.jsonl").read_text().splitlines()[0]), **{field: value})
+    (files / "odd.jsonl").write_text(json.dumps(row) + "\n")
+    assert run(["pipeline", "--records", str(files / "odd.jsonl"), "--head-threshold", "1"]) == 2
+    _assert_one_line_input_error(capsys, "line 1", words)
+
+
 @pytest.mark.parametrize("line", ['[1]', '{"pred": 5, "gold": "cat"}', '{"pred": "cat", "gold": null}'])
 def test_a_bad_prediction_line_exits_2(line, files, capsys):
     (files / "odd.jsonl").write_text(line + "\n")
@@ -550,3 +561,45 @@ def test_maskviz_rejects_a_layout_longer_than_the_decoder_takes(capsys):
     assert run(["maskviz", "--layout", "image:9223372036854775807 mask0:1 out0:1"]) == 2
     _assert_one_line_input_error(capsys, "9223372036854775809 positions", "exceeds max_len")
     assert run(["maskviz", "--layout", f"image:{harness.BENCH_DEC_MAX_LEN - 2} mask0:1 out0:1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("tokenize", "--image"), ("tokenize", "--masks"), ("decode", "--image"), ("decode", "--masks"),
+     ("decode", "--params"), ("decode", "--vocab"), ("eval", "--pred"), ("eval", "--vocab-file"),
+     ("pipeline", "--records"), ("pipeline", "--oracle"), ("pipeline", "--out-records")],
+)
+def test_a_directory_given_as_a_file_exits_2(command, flag, files, capsys):
+    save_decoder_params(_WORD_PARAMS, files / "dec.bin", files / "vocab.json")
+    argv = {
+        "tokenize": ["tokenize", "--image", str(files / "img.pgm"), "--masks", str(files / "masks.jsonl"),
+                     "--out-dir", str(files / "tok")],
+        "decode": ["decode", "--image", str(files / "img.pgm"), "--masks", str(files / "masks.jsonl"),
+                   "--params", str(files / "dec.bin"), "--vocab", str(files / "vocab.json")],
+        "eval": ["eval", "--pred", str(files / "pred.jsonl"), "--vocab-file", str(files / "pred.jsonl")],
+        "pipeline": ["pipeline", "--records", str(files / "masks.jsonl"), "--oracle", "always-yes",
+                     "--out-records", str(files / "kept.jsonl")],
+    }[command]
+    i = argv.index(flag) + 1
+    argv[i] = f"file:{files}" if flag == "--oracle" else str(files)
+    assert run(argv) == 2
+    _assert_one_line_input_error(capsys, "Is a directory")
+
+
+def test_an_out_dir_that_is_a_file_exits_2(files, capsys):
+    assert run(["tokenize", "--image", str(files / "img.pgm"), "--masks", str(files / "masks.jsonl"),
+                "--out-dir", str(files / "img.pgm")]) == 2
+    _assert_one_line_input_error(capsys, "File exists")
+
+
+@pytest.mark.parametrize("exc", [IndexError("index 3 is out of bounds"), KeyError("k"), ZeroDivisionError("x")])
+def test_an_internal_error_exits_3(exc, monkeypatch, capsys):
+    """Only a ValueError or an OSError is an input error; a bug's IndexError
+    or KeyError is not."""
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "build_cascade_mask", broken)
+    assert run(["maskviz"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: {type(exc).__name__}") and err.count("\n") == 1
