@@ -249,7 +249,9 @@ class AttentionMask:
         return bits
 
     def visible_pairs(self) -> int:
-        return int(self.bits.sum())
+        """``bits.sum()`` counted from the blocks, without the n x n array."""
+        return int(sum(np.searchsorted(keys, np.arange(start, stop), side="right").sum()
+                       for start, stop, keys in self.blocks()))
 
 
 def build_cascade_mask(layout: SequenceLayout, config: CascadeConfig) -> AttentionMask:

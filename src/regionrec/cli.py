@@ -7,8 +7,9 @@ than ``prompt.MAX_MASKS``, ``maskviz`` a layout longer than
 ``harness.BENCH_DEC_MAX_LEN``.  Every subcommand is deterministic under a
 fixed ``--seed`` (default 0).  Flags are the only way to set a value.
 
-Exit codes: 0 success, 2 input error (a ``ValueError`` or ``OSError``; one
-line on stderr), 3 any other exception, an internal invariant violation.
+Exit codes: 0 success, 2 input error (a ``ValueError`` or ``OSError``, a
+usage error included; one line on stderr), 3 any other exception, an
+internal invariant violation.
 """
 
 from __future__ import annotations
@@ -73,13 +74,14 @@ def _cmd_maskviz(args) -> str:
 def _cmd_decode(args) -> dict:
     if bool(args.params) != bool(args.vocab):
         raise ValueError("--params and --vocab must be given together")
-    batch = _prompt_batch(args)
+    # the weights are checked before the image is read and every crop encoded
     if args.params:
         params = decoder.load_decoder_params(args.params, args.vocab)
     else:
         words = sorted(({w for w in args.text.split()} | {f"w{i}" for i in range(60)}) - set(decoder.SPECIALS))
         params = decoder.DecoderParams.seeded(args.seed, decoder.make_vocab(words), enc_dim=args.enc_dim)
     text_ids = [params.token_id(w) for w in args.text.split()]
+    batch = _prompt_batch(args)
     config = _VARIANTS[args.variant]()
     return asdict(decoder.decode_objects(batch, text_ids, params, config=config, max_label_len=args.max_label_len))
 
@@ -97,7 +99,7 @@ def _cmd_eval(args) -> dict:
 
 def _cmd_bench(args) -> dict:
     k_values = [int(v) for v in args.k_values.split(",") if v]
-    harness.check_k_values(k_values)  # before the slow decoder set-up
+    harness.check_k_values(k_values)  # before max(), which fails on an empty list with Python's own message
     image, masks = synthesize_mask_corpus(max(k_values), seed=args.seed)
     enc = EncoderParams.seeded(args.seed, dim=args.enc_dim)
     dec = bench_decoder_params(seed=args.seed, enc_dim=args.enc_dim)
@@ -125,8 +127,15 @@ def _cmd_pipeline(args) -> dict:
     return report.summary()
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ``ValueError``, which ``main`` reports in one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regionrec",
         description="Word-free region recognition core: tokenize masks, build "
         "cascade attention masks, decode labels, evaluate, benchmark, filter.",
@@ -191,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand and print its report: a dict as JSON, maskviz's
-    dump as it is."""
-    args = build_parser().parse_args(argv)
+    dump as it is.  ``--help`` exits 0 through ``SystemExit``."""
     try:
+        args = build_parser().parse_args(argv)
         report = args.func(args)
         if not isinstance(report, str):
             report = json.dumps(report, sort_keys=True, indent=2 if args.pretty else None)

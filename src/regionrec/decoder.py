@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import erf
@@ -103,9 +103,7 @@ class DecoderParams:
     head: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("heads", "dim", "enc_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"decoder {name} must be >= 1, got {getattr(self, name)}")
+        self._check_sizes(heads=self.heads, dim=self.dim, enc_dim=self.enc_dim)
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
         if not all(isinstance(w, str) for w in self.vocab) or len(set(self.vocab)) < len(self.vocab):
@@ -118,6 +116,12 @@ class DecoderParams:
         for special in SPECIALS:
             if special not in self.vocab:
                 raise ValueError(f"config error: vocabulary missing special {special!r}")
+
+    @staticmethod
+    def _check_sizes(**sizes) -> None:
+        for name, size in sizes.items():
+            if size < 1:
+                raise ValueError(f"decoder {name} must be >= 1, got {size}")
 
     @property
     def dim(self) -> int:
@@ -169,6 +173,7 @@ class DecoderParams:
         enc_dim: int = 16,
         max_len: int = 2048,
     ) -> "DecoderParams":
+        cls._check_sizes(heads=heads, dim=dim, enc_dim=enc_dim)  # a fan-in below 1 has no 1/sqrt to draw from
         vocab = tuple(vocab)
         rng = Xoshiro256StarStar(seed)
 
@@ -253,9 +258,6 @@ class DecodeResult:
         for steps, total in zip(self.stepwise_logprobs, self.per_object_logprob):
             if abs(sum(steps) - total) > 1e-12 * max(1.0, abs(total)):
                 raise ValueError("per_object_logprob must equal the sum of its steps")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

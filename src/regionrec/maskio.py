@@ -14,6 +14,7 @@ File formats:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,75 +112,45 @@ class MaskRecord:
 # ---------------------------------------------------------------------------
 
 
-def _pgm_tokens(buf: bytes):
-    """Yield whitespace-separated header tokens, skipping '#' comments.
-
-    Returns (token, offset-after-token) so the binary payload start is known.
-    """
-    i = 0
-    n = len(buf)
-    while i < n:
-        c = buf[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < n and buf[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-        else:
-            j = i
-            while j < n and not buf[j : j + 1].isspace() and buf[j : j + 1] != b"#":
-                j += 1
-            yield buf[i:j].decode("ascii", errors="replace"), j
-            i = j
+# a comment runs from '#' to the next CR or LF; whitespace separates the
+# tokens, and a bytes pattern's \s is exactly what bytes.isspace() accepts
+_PGM_TOKEN = re.compile(rb"#[^\r\n]*|[^\s#]+")
 
 
 def read_pgm(path) -> RasterImage:
     """Read a P5 (binary) or P2 (ASCII) PGM file with maxval <= 255."""
     with open(path, "rb") as fh:
         buf = fh.read()
+    tokens = (m for m in _PGM_TOKEN.finditer(buf) if not m[0].startswith(b"#"))
+    head = dict(zip(("magic", "width", "height", "maxval"), tokens))
 
-    tokens = _pgm_tokens(buf)
-
-    def next_token(what: str):
+    def token_value(what: str, m, parse=int):
+        """Token ``m`` (None past the last one) through ``parse``."""
+        if m is None:
+            raise ValueError(f"pgm parse error: missing {what}")
+        tok = m[0].decode("ascii", errors="replace")
         try:
-            return next(tokens)
-        except StopIteration:
-            raise ValueError(f"pgm parse error: missing {what}") from None
-
-    magic, _ = next_token("magic")
-    if magic not in ("P5", "P2"):
-        raise ValueError(f"pgm parse error: bad magic {magic!r}")
-
-    def int_field(what: str):
-        tok, off = next_token(what)
-        try:
-            val = int(tok)
+            return parse(tok)
         except ValueError:
             raise ValueError(f"pgm parse error: bad {what} {tok!r}") from None
-        return val, off
 
-    width, _ = int_field("width")
-    height, _ = int_field("height")
-    maxval, off = int_field("maxval")
+    binary = token_value("magic", head.get("magic"), ("P2", "P5").index)
+    width, height, maxval = (token_value(what, head.get(what)) for what in ("width", "height", "maxval"))
     if width < 1 or height < 1:
         raise ValueError("pgm parse error: non-positive width/height")
     if not (0 < maxval <= 255):
         raise ValueError(f"pgm parse error: maxval {maxval} outside 1..255")
 
     npix = width * height
-    if magic == "P5":
+    if binary:
         # exactly one whitespace byte separates maxval from the payload
-        data = buf[off + 1 : off + 1 + npix]
+        off = head["maxval"].end() + 1
+        data = buf[off : off + npix]
         if len(data) != npix:
             raise ValueError(f"pgm length error: expected {npix} bytes, got {len(data)}")
         arr = np.frombuffer(data, dtype=np.uint8).astype(np.float64)
     else:
-        vals = []
-        for tok, _ in tokens:
-            try:
-                vals.append(int(tok))
-            except ValueError:
-                raise ValueError(f"pgm parse error: bad pixel value {tok!r}") from None
+        vals = [token_value("pixel value", m) for m in tokens]
         if len(vals) != npix:
             raise ValueError(f"pgm length error: expected {npix} values, got {len(vals)}")
         arr = np.asarray(vals, dtype=np.float64)

@@ -114,6 +114,17 @@ def test_incremental_batch_equivalence_random_schedules(rng, config):
             assert np.array_equal(cut[np.ix_(live, live)], oracle_cascade_bits(grown, config))
 
 
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=["full", "region", "output", "causal"])
+def test_visible_pairs_counts_the_oracle_bits(rng, config):
+    for _ in range(60):
+        layout = random_layout(rng)
+        mask, oracle = build_cascade_mask(layout, config), oracle_cascade_bits(layout, config)
+        assert mask.visible_pairs() == oracle.sum()
+        dead = np.flatnonzero(rng.random(layout.n) < 0.3)
+        oracle[dead], oracle[:, dead] = False, False
+        assert mask.without(dead).visible_pairs() == oracle.sum()
+
+
 def test_subset_of_causal(rng):
     for _ in range(25):
         layout = random_layout(rng)

@@ -22,7 +22,7 @@ from conftest import save_decoder_params, write_pgm
 
 
 def run(argv) -> int:
-    """Exit code of ``regionrec argv``; argparse errors exit through SystemExit."""
+    """Exit code of ``regionrec argv``; ``--help`` exits through SystemExit."""
     try:
         return cli.main(argv)
     except SystemExit as exc:
@@ -112,6 +112,18 @@ def test_config_is_an_unknown_option(tmp_path, capsys):
     assert run(["maskviz", "--config", str(tmp_path / "x.cfg")]) == 2
     err = capsys.readouterr().err
     assert "invalid choice" in err and "unrecognized arguments: --config" in err
+
+
+@pytest.mark.parametrize("argv", [["maskviz", "--layout", "-imag"], ["decode", "--image", "x"]],
+                         ids=["option-as-value", "missing-required"])
+def test_a_usage_error_exits_2_with_one_line(argv, capsys):
+    assert run(argv) == 2
+    _assert_one_line_input_error(capsys, "argument")
+
+
+def test_help_exits_0(capsys):
+    assert run(["decode", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: regionrec decode")
 
 
 def test_wow_seed_is_not_read(files, monkeypatch, capsys):
@@ -364,6 +376,12 @@ def test_decoder_blob_flags_other_than_1_exit_2(flags, files, capsys):
     _assert_one_line_input_error(capsys, f"flags {flags}")
 
 
+def test_a_bad_blob_is_reported_before_the_image_is_read(files, capsys):
+    argv = ["decode", "--image", str(files / "missing.pgm"), "--masks", str(files / "masks.jsonl")]
+    assert run(argv + _small_dec0(files, lambda b: b"DECX" + b[4:])) == 2
+    _assert_one_line_input_error(capsys, "bad magic b'DECX'")
+
+
 def test_capacity_error_names_limit(files, capsys):
     """The mask cap is checked on the records, before any encoding."""
     image, masks = ["--image", str(files / "img.pgm")], ["--masks", str(files / "many.jsonl")]
@@ -381,10 +399,12 @@ def test_capacity_error_names_limit(files, capsys):
     [lambda: TrigramHashProvider(dim=0), lambda: resize_image(_IMAGE, 0, 4), lambda: resize_image(_IMAGE, 4, 0),
      lambda: EncoderParams.seeded(0, dim=0), lambda: dataclasses.replace(_PARAMS, heads=0),
      lambda: dataclasses.replace(_PARAMS, embed=_PARAMS.embed[:, :0]),
-     lambda: dataclasses.replace(_PARAMS, adapter=_PARAMS.adapter[:0])],
+     lambda: dataclasses.replace(_PARAMS, adapter=_PARAMS.adapter[:0]),
+     lambda: decoder.DecoderParams.seeded(0, decoder.make_vocab([]), enc_dim=0)],
     ids=["provider-dim", "resize-width", "resize-height", "encoder-dim", "decoder-heads", "decoder-dim",
-         "decoder-enc-dim"],
+         "decoder-enc-dim", "seeded-decoder-enc-dim"],
 )
+@pytest.mark.filterwarnings("error")  # a warning would be a second line on stderr
 def test_zero_sizes_are_rejected_where_they_are_built(build):
     with pytest.raises(ValueError, match=">= 1"):
         build()

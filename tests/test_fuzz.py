@@ -74,7 +74,8 @@ def seeds(tmp_path_factory):
         "records-pipeline": record_seeds,
         "dec0": [(d / "dec.bin").read_bytes()],
         "vocab": [(d / "vocab.json").read_bytes()],
-        "layout": [cli.FIG4_PRESET.encode(), b"image:3 text:2 mask0:1 mask1:2 sep:1 out0:2 out1:1"],
+        # "-image:1" is read by argparse as an option, so its usage errors are fuzzed too
+        "layout": [cli.FIG4_PRESET.encode(), b"image:3 text:2 mask0:1 mask1:2 sep:1 out0:2 out1:1", b"-image:1"],
         "predictions": [(d / "pred.jsonl").read_bytes()],
         "eval-vocab": [b"dog\n  Cat \n\nred fox\n"],
         "oracle": [json.dumps(oracle).encode()],
@@ -93,7 +94,7 @@ def _argv(d, case, path, text):
         "records-pipeline": ["pipeline", "--records", path, "--head-threshold", "1"],
         "dec0": [*decode, "--params", path, "--vocab", str(d / "vocab.json")],
         "vocab": [*decode, "--params", str(d / "dec.bin"), "--vocab", path],
-        "layout": ["maskviz", f"--layout={text}"],  # one token even if it starts with "-"
+        "layout": ["maskviz", "--layout", text],  # a text starting with "-" is argparse's to reject
         "predictions": ["eval", "--pred", path],
         "eval-vocab": ["eval", "--pred", str(d / "pred.jsonl"), "--vocab-file", path],
         "oracle": ["pipeline", "--records", str(d / "masks.jsonl"), "--head-threshold", "1", "--oracle", f"file:{path}"],

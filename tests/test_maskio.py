@@ -76,6 +76,34 @@ def test_pgm_comments_are_skipped(tmp_path):
     assert img.data.ravel().tolist() == [7, 9]
 
 
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (b"P5#c\n2 1\n255\n\x07\x08", [7, 8]),  # a comment glued to the magic
+        (b"P5\r2 1\r255\r\x01\x02", [1, 2]),  # CR-only line ends, CR before the payload
+        (b"P2 2 1 255\n3 4\n# end", [3, 4]),  # a trailing comment with no newline
+        (b"P2 3 1 255\n1 # one\n2#two\r3", [1, 2, 3]),  # comments between pixels
+        (b"P2\x0b2\x0c1\t255 5 6", [5, 6]),  # every byte that isspace() accepts separates
+        (b"P5 2 2 # no maxval", "pgm parse error: missing maxval"),
+        (b"# only a comment", "pgm parse error: missing magic"),
+        (b"P2 x 1 255 0", "pgm parse error: bad width 'x'"),
+        (b"P2 1#1 255 0", "pgm parse error: missing height"),  # a comment runs to the line end
+        (b"P2 2 2 255 1 2 3", "pgm length error: expected 4 values, got 3"),
+        (b"P2 1 1 255 1 2", "pgm length error: expected 1 values, got 2"),
+        (b"P2 2 1 255 1 z", "pgm parse error: bad pixel value 'z'"),
+    ],
+)
+def test_pgm_token_edges_read_exactly(data, expected, tmp_path):
+    path = tmp_path / "a.pgm"
+    path.write_bytes(data)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            read_pgm(path)
+        assert str(exc.value) == expected
+    else:
+        assert read_pgm(path).data.ravel().tolist() == expected
+
+
 def test_pgm_round_trip(tmp_path, rng):
     arr = rng.integers(0, 256, size=(5, 7)).astype(np.float64)
     img = RasterImage(arr)
