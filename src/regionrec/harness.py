@@ -45,7 +45,8 @@ QUESTION_TEMPLATE = (
 
 def encoder_flops(k: int, enc: EncoderParams) -> int:
     """K crop encodes plus one global encode, each a resize to the encoder
-    input and a patch projection onto the ``GRID_SIDE`` grid."""
+    input and a patch projection onto the ``GRID_SIDE`` grid.  The resize
+    term is a full crop's, an upper bound; the projection count is exact."""
     side = enc.patch_side * GRID_SIDE
     resize = RESIZE_FLOPS_PER_PIXEL * side * side
     projection = 2 * GRID_SIDE * GRID_SIDE * enc.projection.size

@@ -145,6 +145,8 @@ def read_pgm(path) -> RasterImage:
     if binary:
         # exactly one whitespace byte separates maxval from the payload
         off = head["maxval"].end() + 1
+        if buf[off - 1 : off].strip():
+            raise ValueError("pgm parse error: no whitespace after maxval")
         data = buf[off : off + npix]
         if len(data) != npix:
             raise ValueError(f"pgm length error: expected {npix} bytes, got {len(data)}")

@@ -1,11 +1,13 @@
 """Mask2Token assembly: geometry + encoder + grid selection per mask.
 
 The per-mask pipeline is: tight bbox -> context crop window (scale >= 1) ->
-bilinear crop to the encoder input side -> encode -> downsample the mask to
-the token grid -> select the features at active cells in row-major order.
-The global image is square-stretched through the same bilinear path and
-encoded with the same weights, so crop features and global features live in
-one embedding space.
+downsample the mask to the token grid -> bilinear-crop only the pixels of the
+grid rows and columns that hold an active cell -> project only the active
+cells' patches, in row-major order.  Every token is bit-identical to encoding
+the whole crop and selecting the active cells.  The global image is
+square-stretched through the same bilinear path and encoded whole with the
+same weights, so crop features and global features live in one embedding
+space.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .attnmask import SequenceLayout, canonical_layout
 from .encoder import EncoderParams, FeatureGrid, GRID_SIDE, encode
 from .maskio import BinaryMask, RasterImage, _readonly
-from .region import _check_dims, context_crop_window, downsample_to_grid, extract_and_resize, resize_image, tight_bbox
+from .region import _check_dims, _resample, context_crop_window, downsample_to_grid, resize_image, tight_bbox, window_axes
 
 MAX_MASKS = 30
 CONTEXT_SCALE = 2.0
@@ -88,19 +90,27 @@ def mask2token(
     scale: float = CONTEXT_SCALE,
     mask_index: int = 0,
 ) -> MaskTokenSet:
-    """Run the full per-mask pipeline and select active-cell features.
+    """Run the per-mask pipeline on the active cells only.
 
+    The tokens are bit-identical to ``encode(extract_and_resize(...))`` at
+    the active cells: each resampled pixel has its own taps, and the
+    projection keeps ``encode``'s (cells, p*p) @ (p*p, dim) operand shape by
+    repeating the active patches cyclically up to every cell of the grid.
     The mask must have the image's width and height (``ValueError`` otherwise).
     """
     _check_dims(image, mask)
-    bbox = tight_bbox(mask)
-    window = context_crop_window(bbox, scale, image.width, image.height)
-    input_side = params.patch_side * GRID_SIDE
-    crop = extract_and_resize(image, window, input_side)
-    feats = encode(crop, params)
+    window = context_crop_window(tight_bbox(mask), scale, image.width, image.height)
     gm = downsample_to_grid(mask, window, GRID_SIDE, GRID_SIDE)
     idx = np.argwhere(gm.active)
-    tokens = feats.values[gm.active]
+    p = params.patch_side
+    rows, r = np.unique(idx[:, 0], return_inverse=True)
+    cols, c = np.unique(idx[:, 1], return_inverse=True)
+    xs, ys = window_axes(window, p * GRID_SIDE)
+    pixels = np.arange(p)
+    crop = _resample(image, xs[(cols[:, None] * p + pixels).ravel()], ys[(rows[:, None] * p + pixels).ravel()])
+    patches = (crop.data / 255.0).reshape(len(rows), p, len(cols), p).transpose(0, 2, 1, 3)[r, c]
+    padded = np.resize(patches.reshape(len(idx), p * p), (GRID_SIDE * GRID_SIDE, p * p))
+    tokens = (padded @ params.projection)[: len(idx)]
     return MaskTokenSet(tokens=tokens, grid_indices=idx, mask_index=mask_index)
 
 

@@ -164,13 +164,18 @@ def _resample(image: RasterImage, xs: np.ndarray, ys: np.ndarray) -> RasterImage
     return RasterImage(out)
 
 
-def extract_and_resize(image: RasterImage, window: CropWindow, out_side: int) -> RasterImage:
-    """Extract the window and resize to out_side x out_side."""
+def window_axes(window: CropWindow, out_side: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x of each output column and the y of each output row when the
+    window is resized to out_side x out_side."""
     if out_side < 1:
         raise ValueError("out_side must be >= 1")
-    step = window.side / out_side
-    coords = (np.arange(out_side) + 0.5) * step - 0.5
-    return _resample(image, window.x0 + coords, window.y0 + coords)
+    coords = (np.arange(out_side) + 0.5) * (window.side / out_side) - 0.5
+    return window.x0 + coords, window.y0 + coords
+
+
+def extract_and_resize(image: RasterImage, window: CropWindow, out_side: int) -> RasterImage:
+    """Extract the window and resize to out_side x out_side."""
+    return _resample(image, *window_axes(window, out_side))
 
 
 def resize_image(image: RasterImage, out_w: int, out_h: int) -> RasterImage:

@@ -84,3 +84,19 @@ def test_feature_grid_rejects_nonfinite():
 def test_seeded_projection_is_float32_representable():
     params = EncoderParams.seeded(9, patch_side=4, dim=8)
     assert np.array_equal(params.projection.astype(np.float32).astype(np.float64), params.projection)
+
+
+@pytest.mark.parametrize("fan_in", [16, 784])
+@pytest.mark.parametrize("width", [1, 6, 8, 16, 17, 64])
+def test_cyclic_padding_keeps_rows_of_the_full_grid_product(fan_in, width):
+    """The identity Mask2Token's projection rests on: any sorted subset of
+    the grid's 256 patch rows, repeated cyclically back up to 256 rows and
+    projected, gives exactly those rows of the full product."""
+    rng = np.random.default_rng(fan_in * 100 + width)
+    x = rng.integers(0, 256, (256, fan_in)) / 255.0
+    w = rng.uniform(-1, 1, (fan_in, width)).astype(np.float32).astype(np.float64)
+    full = x @ w
+    for m in [1, 2, 7, 31, 52, 80, 96, 97, 129, 255, 256]:
+        sel = np.sort(rng.choice(256, m, replace=False))
+        got = np.resize(x[sel], (256, fan_in)) @ w
+        assert np.array_equal(got[:m], full[sel]), m

@@ -91,6 +91,8 @@ def test_pgm_comments_are_skipped(tmp_path):
         (b"P2 2 2 255 1 2 3", "pgm length error: expected 4 values, got 3"),
         (b"P2 1 1 255 1 2", "pgm length error: expected 1 values, got 2"),
         (b"P2 2 1 255 1 z", "pgm parse error: bad pixel value 'z'"),
+        (b"P5 2 1 255#ab", "pgm parse error: no whitespace after maxval"),  # not a payload
+        (b"P5 2 1 255\n#a", [35, 97]),  # past the one separator byte, '#' is a pixel
     ],
 )
 def test_pgm_token_edges_read_exactly(data, expected, tmp_path):

@@ -6,10 +6,11 @@ import pytest
 
 from regionrec.attnmask import canonical_layout
 from regionrec.decoder import DecoderParams, assemble_sequence, make_vocab, prompt_sequence
-from regionrec.encoder import EncoderParams, encode
+from regionrec.encoder import GRID_SIDE, EncoderParams, encode
+from regionrec.harness import synthesize_mask_corpus
 from regionrec.maskio import BinaryMask, RasterImage
-from regionrec.prompt import MaskTokenSet, build_prompt_batch, dump_token_set, mask2token
-from regionrec.region import context_crop_window, downsample_to_grid, tight_bbox
+from regionrec.prompt import CONTEXT_SCALE, MaskTokenSet, build_prompt_batch, dump_token_set, mask2token
+from regionrec.region import context_crop_window, downsample_to_grid, extract_and_resize, tight_bbox
 
 from conftest import oracle_grid_cells, random_mask, write_pgm
 
@@ -57,6 +58,53 @@ def test_tokens_are_selected_grid_features(rng):
     feats = encode(extract_and_resize(img, win, 64), ENC)
     gm = downsample_to_grid(mask, win, 16, 16)
     assert np.array_equal(ts.tokens, feats.values[gm.active])
+
+
+def _oracle_cases():
+    """(image, mask, scale): masks on each border and corner of a 64x48
+    image, a one-cell mask, a mask that fills the grid, and the bench corpus."""
+    rng = np.random.default_rng(21)
+    h, w = 48, 64
+    img = RasterImage(rng.integers(0, 256, (h, w)).astype(float))
+    cases = []
+    for ys, xs in [
+        (slice(0, 3), slice(10, 40)),  # top
+        (slice(h - 3, h), slice(5, 30)),  # bottom
+        (slice(8, 40), slice(0, 2)),  # left
+        (slice(2, 30), slice(w - 4, w)),  # right
+        (slice(0, 5), slice(0, 5)),  # top-left corner
+        (slice(h - 6, h), slice(w - 6, w)),  # bottom-right corner
+    ]:
+        bits = np.zeros((h, w), bool)
+        bits[ys, xs] = rng.random((h, w))[ys, xs] < 0.4
+        bits[ys.start, xs.start] = True
+        cases.append((img, BinaryMask(bits), CONTEXT_SCALE))
+    one = np.zeros((h, w), bool)
+    one[17, 33] = True
+    cases.append((img, BinaryMask(one), CONTEXT_SCALE))
+    full = np.zeros((h, w), bool)
+    full[:, 8:56] = True  # a 48x48 square: at scale 1 every cell holds pixel centres
+    cases.append((img, BinaryMask(full), 1.0))
+    corpus_img, corpus = synthesize_mask_corpus(30)
+    cases.extend((corpus_img, m, CONTEXT_SCALE) for m in corpus)
+    return cases
+
+
+@pytest.mark.parametrize("patch_side, dim", [(4, 1), (4, 6), (4, 8), (28, 1), (28, 6), (28, 8), (28, 16)])
+def test_cells_path_equals_the_full_crop_and_encode(patch_side, dim):
+    """mask2token computes only the active cells; the oracle crops the whole
+    window, encodes every cell and selects the active ones."""
+    enc = EncoderParams.seeded(0, patch_side=patch_side, dim=dim)
+    counts = set()
+    for img, mask, scale in _oracle_cases():
+        ts = mask2token(img, mask, enc, scale=scale)
+        win = context_crop_window(tight_bbox(mask), scale, img.width, img.height)
+        feats = encode(extract_and_resize(img, win, patch_side * GRID_SIDE), enc)
+        gm = downsample_to_grid(mask, win, GRID_SIDE, GRID_SIDE)
+        assert np.array_equal(ts.tokens, feats.values[gm.active])
+        assert np.array_equal(ts.grid_indices, np.argwhere(gm.active))
+        counts.add(ts.count)
+    assert {1, 256} <= counts
 
 
 def test_batch_singleton_equals_mask2token(rng):
