@@ -259,6 +259,12 @@ class DecodeResult:
             if abs(sum(steps) - total) > 1e-12 * max(1.0, abs(total)):
                 raise ValueError("per_object_logprob must equal the sum of its steps")
 
+    @classmethod
+    def from_steps(cls, labels, stepwise_logprobs) -> "DecodeResult":
+        """The result whose per-object log-probs sum each object's steps, and whose joint one sums those."""
+        per_object = tuple(float(sum(steps)) for steps in stepwise_logprobs)
+        return cls(tuple(labels), tuple(stepwise_logprobs), per_object, float(sum(per_object)))
+
 
 # ---------------------------------------------------------------------------
 # Forward pass
@@ -326,35 +332,32 @@ def _block_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int, ke
     return (w @ v_b).transpose(1, 0, 2).reshape(rows, dim)
 
 
-def _attention(x_norm: np.ndarray, lo: int, block: LayerWeights, heads: int, attn_blocks, k: np.ndarray,
-               v: np.ndarray) -> np.ndarray:
-    """Multi-head attention of the rows at positions ``lo``, ``lo + 1``, ...
-    (``x_norm`` holds them).
-
-    Their keys and values go into ``k`` and ``v``, (n, dim) arrays indexed
-    by position; then each ``(start, stop, keys)`` block, whose rows lie in
-    the run, attends over the rows of k and v at ``keys``.  Keys outside the
-    set are never read.  Rows in no block produce the zero vector.
-    """
-    hi = lo + x_norm.shape[0]
-    q = _dense(x_norm, block.wq)
-    k[lo:hi] = _dense(x_norm, block.wk)
-    v[lo:hi] = _dense(x_norm, block.wv)
-    out = np.zeros_like(x_norm)
-    for start, stop, keys in attn_blocks:
-        out[start - lo : stop - lo] = _block_attention(q[start - lo : stop - lo], k[keys], v[keys], start, keys, heads)
-    return _dense(out, block.wo)
-
-
-def _layers(x: np.ndarray, lo: int, attn_blocks, params: DecoderParams, cache) -> np.ndarray:
-    """Every layer over the rows at positions ``lo``, ``lo + 1``, ... of the
-    sequence; ``x`` is their embedded input.  ``cache`` yields each layer's
-    (k, v) pair for ``_attention``; nothing here holds a pair past its
-    layer's attention."""
+def _layers(x: np.ndarray, rows: np.ndarray, attn_blocks, params: DecoderParams, cache) -> np.ndarray:
+    """Every layer over the sorted sequence positions ``rows``; ``x`` holds
+    their embedded input.  ``cache`` yields each layer's (k, v), (n, dim)
+    arrays indexed by position, which take the rows' keys and values; then
+    each ``(start, stop, keys)`` block, whose rows lie in ``rows``, attends
+    over the rows of k and v at ``keys``.  Keys outside the set are never
+    read; rows in no block get the zero vector.  Nothing here holds a pair
+    past its layer's attention."""
     cache = iter(cache)
     for block in params.blocks:
-        x = x + _attention(_layer_norm(x, block.ln1_g, block.ln1_b), lo, block, params.heads, attn_blocks,
-                           *next(cache))
+        k, v = next(cache)
+        h = _layer_norm(x, block.ln1_g, block.ln1_b)
+        q = _dense(h, block.wq)
+        k[rows] = _dense(h, block.wk)
+        v[rows] = _dense(h, block.wv)
+        a = np.zeros_like(h)
+        for start, stop, keys in attn_blocks:
+            i = np.searchsorted(rows, start)
+            span = slice(i, i + stop - start)
+            a[span] = _block_attention(q[span], k[keys], v[keys], start, keys, params.heads)
+        a = _dense(a, block.wo)
+        # free the layer's attention operands before the residual and the
+        # MLP allocate: the peak of a score-sized forward depends on it
+        del h, q, k, v
+        x = x + a
+        del a
         h = _layer_norm(x, block.ln2_g, block.ln2_b)
         x = x + _dense(_gelu(_dense(h, block.w1)), block.w2)
     return x
@@ -390,7 +393,7 @@ def forward(seq: TokenSequence, mask: AttentionMask, params: DecoderParams) -> n
     # name here keeps the embedded input alive through the layers either
     shape = (seq.n, params.dim)
     cache = ((np.empty(shape), np.empty(shape)) for _ in params.blocks)
-    return _logits(_layers(embed_sequence(seq, params), 0, mask.blocks(), params, cache), params)
+    return _logits(_layers(embed_sequence(seq, params), np.arange(seq.n), mask.blocks(), params, cache), params)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +509,7 @@ def decode_objects(
     # change after this pass
     x = embed_sequence(seq, params)
     cache = [(np.empty_like(x), np.empty_like(x)) for _ in params.blocks]
-    first_logits = _logits(_layers(x[:first_slot], 0, prefix, params, cache), params)
+    first_logits = _logits(_layers(x[:first_slot], np.arange(first_slot), prefix, params, cache), params)
     # how many chunk blocks hold each position: a chunk's own block holds its first slot
     readers = np.bincount(np.concatenate([np.zeros(0, dtype=np.int64), *(keys for *_, keys in chunks)]))
     steps, labels = [], []
@@ -514,7 +517,7 @@ def decode_objects(
 
         def push(stop):
             """The chunk's filled rows through every layer over the block's filled keys."""
-            return _layers(x[lo:stop], lo, [(lo, stop, keys[~unfilled[keys]])], params, cache)
+            return _layers(x[lo:stop], np.arange(lo, stop), [(lo, stop, keys[~unfilled[keys]])], params, cache)
 
         logits = first_logits[_chunk_rows(layout, i)[1][0]]
         lps, words = [], []
@@ -533,13 +536,7 @@ def decode_objects(
         steps.append(tuple(lps))
         labels.append(" ".join(words))
 
-    per_object = tuple(float(sum(s)) for s in steps)
-    return DecodeResult(
-        labels=tuple(labels),
-        stepwise_logprobs=tuple(steps),
-        per_object_logprob=per_object,
-        total_logprob_joint=float(sum(per_object)),
-    )
+    return DecodeResult.from_steps(labels, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +123,34 @@ def test_config_is_an_unknown_option(tmp_path, capsys):
 def test_a_usage_error_exits_2_with_one_line(argv, capsys):
     assert run(argv) == 2
     _assert_one_line_input_error(capsys, "argument")
+
+
+@pytest.mark.parametrize(
+    "layout, words",
+    [("image:0", "image segment length must be >= 1"), ("image:2 mask0:0 out0:1", "mask segment length too small"),
+     ("image:1 text:1 text:1 mask0:1 out0:1", "layout allows at most one text segment")],
+    ids=["empty-image", "empty-mask", "two-texts"],
+)
+def test_maskviz_rejects_a_bad_segment_with_one_line(layout, words, capsys):
+    assert run(["maskviz", f"--layout={layout}"]) == 2
+    _assert_one_line_input_error(capsys, words)
+
+
+def test_the_module_entry_point_exits_as_main_returns(capsys):
+    """``python -m regionrec.cli`` prints what ``main`` prints and exits with its code."""
+    assert run(["maskviz"]) == 0
+    want = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "regionrec.cli", *argv], capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    done = module("maskviz")
+    assert done.returncode == 0 and done.stdout == want
+    done = module("maskviz", "--layout", "-imag")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
 
 
 def test_help_exits_0(capsys):

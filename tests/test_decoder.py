@@ -134,8 +134,7 @@ def ref_decode_objects(batch, text_ids, params, config, max_label_len) -> Decode
             words.append(params.vocab[tok])
         steps.append(tuple(lps))
         labels.append(" ".join(words))
-    per_object = tuple(float(sum(s)) for s in steps)
-    return DecodeResult(tuple(labels), tuple(steps), per_object, float(sum(per_object)))
+    return DecodeResult.from_steps(labels, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +418,40 @@ def test_cached_decode_equals_the_per_step_forward(config, shape, params, wide_p
         assert decode_objects(batch, text_ids, dec, config=config, max_label_len=slots) == want
 
 
+@pytest.mark.parametrize("shape", ["dim16", "dim128", "cli"])
+def test_one_pass_over_two_chunks_equals_one_pass_per_chunk(shape, params, wide_params, cli_params, rng):
+    """Under the full cascade no chunk reads another.  After the decode's
+    prefix pass, one ``_layers`` call over two chunks' filled slots, each
+    chunk its own block, gives rows, keys and values bit-equal to one call
+    per chunk."""
+    dec = {"dim16": params, "dim128": wide_params, "cli": cli_params}[shape]
+    for slots in (2, 3, 8, 16):
+        k = int(rng.integers(2, 6))
+        layout = canonical_layout(4, 2, [int(m) for m in rng.integers(1, 5, size=k)], slots)
+        x = embed_sequence(random_sequence(rng, layout, dec, fill_all=True), dec)
+        blocks = build_cascade_mask(layout, CascadeConfig.full_cascade()).blocks()
+        first_slot = int(layout.positions(OUT)[0])
+        prefix = [b for b in blocks if b[0] < first_slot]
+        cache = [(np.empty_like(x), np.empty_like(x)) for _ in dec.blocks]
+        decoder._layers(x[:first_slot], np.arange(first_slot), prefix, dec, cache)
+        # the earlier chunk keeps an unfilled slot, so the rows are never one run
+        chunks = []
+        for i, most in zip(sorted(rng.choice(k, size=2, replace=False)), (slots - 1, slots)):
+            lo, _, keys = blocks[len(prefix) + i]
+            stop = lo + int(rng.integers(1, most + 1))
+            chunks.append((lo, stop, keys[keys < stop]))
+        rows = np.concatenate([np.arange(lo, stop) for lo, stop, _ in chunks])
+        assert np.diff(rows).max() > 1
+
+        joint_cache = [(kc.copy(), vc.copy()) for kc, vc in cache]
+        joint = decoder._layers(x[rows], rows, chunks, dec, joint_cache)
+        alone = np.concatenate([decoder._layers(x[lo:stop], np.arange(lo, stop), [(lo, stop, keys)], dec, cache)
+                                for lo, stop, keys in chunks])
+        assert np.array_equal(joint, alone)
+        for (kj, vj), (ka, va) in zip(joint_cache, cache):
+            assert np.array_equal(kj[rows], ka[rows]) and np.array_equal(vj[rows], va[rows])
+
+
 def test_object0_steps_are_independent_of_k(params, rng):
     # object 0's output slots move with K; zero position embeddings remove
     # the one input that depends on where a row sits
@@ -483,3 +516,68 @@ def test_decode_reads_text_ids_once(params, rng):
     from_list = decode_objects(batch, text_ids, params, max_label_len=3)
     from_iter = decode_objects(batch, iter(text_ids), params, max_label_len=3)
     assert from_iter == from_list
+
+
+# ---------------------------------------------------------------------------
+# Boundary checks of sequence assembly, scoring and results
+# ---------------------------------------------------------------------------
+
+
+def test_encode_label_ends_with_end_and_rejects_an_unknown_word(params):
+    assert decoder.encode_label(" w3  w0\t", params) == [7, 4, params.end_id]
+    assert decoder.encode_label("", params) == [params.end_id]
+    with pytest.raises(ValueError) as exc:
+        decoder.encode_label("w3 cat", params)
+    assert str(exc.value) == "vocab error: unknown token 'cat'"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [({"image_values": np.zeros((1, ENC_DIM))}, "shape error: image segment does not match injected values"),
+     ({"text_ids": []}, "shape error: text segment length mismatch"),
+     ({"mask_values": {0: np.zeros((2, ENC_DIM + 1))}}, "shape error: mask segment 0 mismatch"),
+     ({"output_ids": {0: [4, 5, 3]}}, "output chunk 0 overflows its slots")],
+    ids=["image", "text", "mask", "overflow"],
+)
+def test_assemble_sequence_rejects_values_that_do_not_fit_their_segment(bad, message, params):
+    layout = parse_layout_header("image:2 text:1 mask0:2 sep:1 out0:2")
+    good = {"image_values": np.zeros((2, ENC_DIM)), "mask_values": {0: np.zeros((2, ENC_DIM))}, "text_ids": [4],
+            "output_ids": {0: [5, 3]}}
+    assemble_sequence(layout, params, **good)
+    with pytest.raises(ValueError) as exc:
+        assemble_sequence(layout, params, **{**good, **bad})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "header, gold, message",
+    [("image:1 mask0:1 sep:1 out0:3", [], "precondition violation: output chunk 0 is empty"),
+     ("image:1 mask0:1 sep:1 out0:3", [5, 0, 3], "output chunk 0 has pad gaps"),
+     ("image:1 mask0:1 sep:1 out0:3", [5, 6], "precondition violation: chunk 0 does not end with '<end>'"),
+     ("image:1", [], "precondition violation: no output positions")],
+    ids=["empty", "pad-gap", "no-end", "no-objects"],
+)
+def test_teacher_forced_loss_rejects_a_chunk_it_cannot_score(header, gold, message, params, rng):
+    layout = parse_layout_header(header)
+    seq = assemble_sequence(layout, params, rng.normal(size=(1, ENC_DIM)), {0: rng.normal(size=(1, ENC_DIM))}, [],
+                            output_ids={0: gold})
+    with pytest.raises(ValueError) as exc:
+        teacher_forced_loss(seq, build_cascade_mask(layout, CascadeConfig.full_cascade()), params)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("keep", [-1, 2])
+def test_isolation_rejects_a_keep_out_of_range(keep, params, rng):
+    layout = parse_layout_header("image:2 mask0:1 sep:1 mask1:1 out0:1 out1:1")
+    with pytest.raises(IndexError) as exc:
+        isolate_single_mask(random_sequence(rng, layout, params), layout, keep)
+    assert str(exc.value) == f"keep {keep} out of range for K=2"
+
+
+def test_decode_result_sums_its_steps_and_rejects_sums_that_differ():
+    result = DecodeResult.from_steps(["w1 w2", ""], [(-0.5, -0.25), (-1.0,)])
+    assert result == DecodeResult(("w1 w2", ""), ((-0.5, -0.25), (-1.0,)), (-0.75, -1.0), -1.75)
+    with pytest.raises(ValueError, match="lengths differ"):
+        DecodeResult(("w1",), ((-0.5,),), (-0.5, -1.0), -1.5)
+    with pytest.raises(ValueError, match="sum of its steps"):
+        DecodeResult(("w1",), ((-0.5,),), (-0.4,), -0.4)

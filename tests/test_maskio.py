@@ -93,6 +93,7 @@ def test_pgm_comments_are_skipped(tmp_path):
         (b"P2 2 1 255 1 z", "pgm parse error: bad pixel value 'z'"),
         (b"P5 2 1 255#ab", "pgm parse error: no whitespace after maxval"),  # not a payload
         (b"P5 2 1 255\n#a", [35, 97]),  # past the one separator byte, '#' is a pixel
+        (b"P2 0 1 255", "pgm parse error: non-positive width/height"),
     ],
 )
 def test_pgm_token_edges_read_exactly(data, expected, tmp_path):
@@ -239,6 +240,9 @@ def test_records_jsonl_round_trip(tmp_path, rng):
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 8
     assert all(set(json.loads(ln)) == {"image_id", "label", "rle"} for ln in lines)
+    # blank lines, whitespace-only ones too, are skipped
+    path.write_text("\n" + "\n \t\n".join(lines) + "\n\n")
+    assert read_records(path) == records
 
 
 def test_records_error_names_line(tmp_path):
