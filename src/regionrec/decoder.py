@@ -253,11 +253,15 @@ class DecodeResult:
     total_logprob_joint: float
 
     def __post_init__(self):
-        if len(self.labels) != len(self.per_object_logprob):
-            raise ValueError("labels and per_object_logprob lengths differ")
-        for steps, total in zip(self.stepwise_logprobs, self.per_object_logprob):
-            if abs(sum(steps) - total) > 1e-12 * max(1.0, abs(total)):
-                raise ValueError("per_object_logprob must equal the sum of its steps")
+        def sums_to(parts, total) -> bool:
+            return abs(sum(parts) - total) <= 1e-12 * max(1.0, abs(total))
+
+        if not len(self.labels) == len(self.stepwise_logprobs) == len(self.per_object_logprob):
+            raise ValueError("labels, stepwise_logprobs and per_object_logprob lengths differ")
+        if not all(sums_to(steps, total) for steps, total in zip(self.stepwise_logprobs, self.per_object_logprob)):
+            raise ValueError("per_object_logprob must equal the sum of its steps")
+        if not sums_to(self.per_object_logprob, self.total_logprob_joint):
+            raise ValueError("total_logprob_joint must equal the sum of per_object_logprob")
 
     @classmethod
     def from_steps(cls, labels, stepwise_logprobs) -> "DecodeResult":

@@ -8,7 +8,8 @@ File formats:
   ``MAX_RLE_PIXELS`` pixels.
 * Mask record collections as JSON lines, one object per line:
   ``{"image_id": ..., "label": ..., "rle": {...}}``.  ``read_json_lines``
-  reads these and the prediction files of ``metrics``.
+  reads these and the prediction files of ``metrics``.  A record read from
+  a file keeps its checked runs; a raster is decoded only where it is read.
 """
 
 from __future__ import annotations
@@ -92,11 +93,36 @@ class BinaryMask:
         return bool(np.array_equal(self.bits, other.bits))
 
 
+@dataclass(frozen=True, eq=False)
+class RunLengthMask:
+    """A mask held as its column-major runs, the first one false, in a
+    read-only int64 ``counts``.  ``read_records`` builds it from checked,
+    non-empty runs.  Each read of ``bits`` decodes a new raster."""
+
+    height: int
+    width: int
+    counts: np.ndarray = field(repr=False)
+
+    @property
+    def bits(self) -> np.ndarray:
+        flat = np.repeat(np.arange(len(self.counts)) % 2 == 1, self.counts)  # runs alternate false, true, ...
+        flat.flags.writeable = False
+        return flat.reshape((self.height, self.width), order="F")
+
+    def area(self) -> int:
+        return int(self.counts[1::2].sum())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (BinaryMask, RunLengthMask)):
+            return NotImplemented
+        return bool(np.array_equal(self.bits, other.bits))
+
+
 @dataclass(frozen=True)
 class MaskRecord:
-    """A mask bound to its source image and optional category label."""
+    """A mask bound to its source image and optional category label; read from a file, the mask keeps its runs."""
 
-    mask: BinaryMask
+    mask: BinaryMask | RunLengthMask
     image_id: str
     label: str | None = None
 
@@ -168,8 +194,9 @@ def read_pgm(path) -> RasterImage:
 # ---------------------------------------------------------------------------
 
 
-def mask_from_rle(rle: dict) -> BinaryMask:
-    """Decode parsed uncompressed RLE (column-major, leading false-run).
+def _rle_runs(rle: dict) -> RunLengthMask:
+    """Check parsed uncompressed RLE (column-major, leading false-run) and
+    keep its runs.
 
     ``size`` and ``counts`` must hold integers: no float, string or boolean.
     """
@@ -187,10 +214,17 @@ def mask_from_rle(rle: dict) -> BinaryMask:
     total = sum(counts)
     if total != h * w:
         raise ValueError(f"rle length error: counts sum {total} != {h * w}")
-    values = np.arange(len(counts)) % 2 == 1  # runs alternate false, true, ...
-    flat = np.repeat(values, counts)
-    flat.flags.writeable = False
-    return BinaryMask(flat.reshape((h, w), order="F"))
+    runs = np.array(counts, dtype=np.int64)  # each count is at most h*w, so it fits
+    runs.flags.writeable = False
+    mask = RunLengthMask(h, w, runs)
+    if mask.area() == 0:
+        raise ValueError("mask has no true bits")
+    return mask
+
+
+def mask_from_rle(rle: dict) -> BinaryMask:
+    """Decode parsed uncompressed RLE after ``_rle_runs``' checks."""
+    return BinaryMask(_rle_runs(rle).bits)
 
 
 def mask_to_rle(mask: BinaryMask) -> dict:
@@ -252,6 +286,6 @@ def read_json_lines(path, parse, what: str) -> list:
 def read_records(path) -> list[MaskRecord]:
     return read_json_lines(
         path,
-        lambda obj: MaskRecord(mask=mask_from_rle(obj["rle"]), image_id=obj["image_id"], label=obj.get("label")),
+        lambda obj: MaskRecord(mask=_rle_runs(obj["rle"]), image_id=obj["image_id"], label=obj.get("label")),
         "record",
     )

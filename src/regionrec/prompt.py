@@ -20,7 +20,7 @@ import numpy as np
 
 from .attnmask import SequenceLayout, canonical_layout
 from .encoder import EncoderParams, FeatureGrid, GRID_SIDE, encode
-from .maskio import BinaryMask, RasterImage, _readonly
+from .maskio import BinaryMask, RasterImage, RunLengthMask, _readonly
 from .region import _check_dims, _resample, context_crop_window, downsample_to_grid, resize_image, tight_bbox, window_axes
 
 MAX_MASKS = 30
@@ -85,7 +85,7 @@ class PromptBatch:
 
 def mask2token(
     image: RasterImage,
-    mask: BinaryMask,
+    mask: BinaryMask | RunLengthMask,
     params: EncoderParams,
     scale: float = CONTEXT_SCALE,
     mask_index: int = 0,
@@ -99,6 +99,7 @@ def mask2token(
     The mask must have the image's width and height (``ValueError`` otherwise).
     """
     _check_dims(image, mask)
+    mask = BinaryMask(mask.bits)  # a run-length mask is decoded once, here
     window = context_crop_window(tight_bbox(mask), scale, image.width, image.height)
     gm = downsample_to_grid(mask, window, GRID_SIDE, GRID_SIDE)
     idx = np.argwhere(gm.active)
@@ -122,7 +123,7 @@ def encode_global(image: RasterImage, params: EncoderParams) -> FeatureGrid:
 
 def build_prompt_batch(
     image: RasterImage,
-    masks: list[BinaryMask],
+    masks: list[BinaryMask | RunLengthMask],
     params: EncoderParams,
     scale: float = CONTEXT_SCALE,
 ) -> PromptBatch:

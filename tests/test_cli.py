@@ -18,7 +18,9 @@ import pytest
 from regionrec import cli, decoder, harness, prompt
 from regionrec.attnmask import canonical_layout
 from regionrec.encoder import EncoderParams
-from regionrec.maskio import MAX_RLE_PIXELS, BinaryMask, MaskRecord, RasterImage, write_records
+from regionrec.maskio import (
+    MAX_RLE_PIXELS, BinaryMask, MaskRecord, RasterImage, mask_from_rle, mask_to_rle, write_records,
+)
 from regionrec.metrics import TrigramHashProvider
 from regionrec.region import resize_image
 
@@ -260,6 +262,22 @@ def test_pipeline_output_is_pinned(oracle, out_digest, records_digest, tmp_path,
     out = capsys.readouterr().out
     assert _digest(out.encode()) == out_digest
     assert _digest((tmp_path / "kept.jsonl").read_bytes()) == records_digest
+
+
+def test_pipeline_writes_the_canonical_runs_of_non_canonical_input(tmp_path, capsys):
+    """``--out-records`` re-encodes each kept mask from its bits, so zero-length
+    runs in the input are not copied to the output."""
+    rles = [{"size": [3, 4], "counts": [2, 0, 3, 4, 3, 0]},  # zero-length interior and trailing runs
+            {"size": [3, 4], "counts": [0, 0, 5, 7]},
+            {"size": [3, 4], "counts": [0, 5, 0, 0, 7]}]  # the first pixel is true
+    (tmp_path / "odd.jsonl").write_text("".join(json.dumps({"image_id": "a", "label": None, "rle": rle}) + "\n"
+                                                for rle in rles))
+    out = tmp_path / "kept.jsonl"
+    argv = ["pipeline", "--records", str(tmp_path / "odd.jsonl"), "--min-ratio", "0", "--out-records", str(out)]
+    assert run(argv) == 0
+    written = [json.loads(line)["rle"] for line in out.read_text().splitlines()]
+    assert written == [mask_to_rle(mask_from_rle(rle)) for rle in rles]
+    assert [rle["counts"] for rle in written] == [[5, 4, 3], [5, 7], [0, 5, 7]]
 
 
 def test_eval_output_is_pinned(tmp_path, capsys):

@@ -581,3 +581,7 @@ def test_decode_result_sums_its_steps_and_rejects_sums_that_differ():
         DecodeResult(("w1",), ((-0.5,),), (-0.5, -1.0), -1.5)
     with pytest.raises(ValueError, match="sum of its steps"):
         DecodeResult(("w1",), ((-0.5,),), (-0.4,), -0.4)
+    with pytest.raises(ValueError, match="lengths differ"):  # a label with no steps
+        DecodeResult(("a", "b"), ((-1.0,),), (-1.0, -2.0), -3.0)
+    with pytest.raises(ValueError, match="sum of per_object_logprob"):
+        DecodeResult(("a",), ((-1.0,),), (-1.0,), 5.0)

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from regionrec.harness import (
     run_scaling_bench,
     synthesize_mask_corpus,
 )
-from regionrec.maskio import BinaryMask, MaskRecord
+from regionrec.maskio import MAX_RLE_PIXELS, BinaryMask, MaskRecord, read_records
 
 from conftest import save_decoder_params
 
@@ -144,3 +146,33 @@ def test_head_category_count_equal_to_the_threshold_is_head(threshold, head):
     assert report.head_categories == head
     assert report.stage2_queried == len(oracle.questions) == (3 if head else 0)
     assert report.final_kept == len(records)
+
+
+def _square_counts(side: int, row: int, col: int, s: int) -> list[int]:
+    """Column-major runs of an s x s square at (row, col) on a side x side raster."""
+    counts = [col * side + row]
+    for _ in range(s):
+        counts += [s, side - s]
+    counts[-1] = side * side - sum(counts[:-1])
+    return counts
+
+
+def test_reading_and_filtering_records_decodes_no_raster(tmp_path):
+    """Four 8192 x 8192 records, 64 MiB each as a raster: reading them and
+    running both filter stages stays under 1 MiB of traced memory."""
+    side = 8192
+    assert side * side == MAX_RLE_PIXELS
+    lines = [json.dumps({"image_id": f"im{j}", "label": "cat",
+                         "rle": {"size": [side, side], "counts": _square_counts(side, 100 * j, 7 * j, 3 + j)}})
+             for j in range(4)]
+    (tmp_path / "big.jsonl").write_text("\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        records = read_records(tmp_path / "big.jsonl")
+        report = run_filter_pipeline(records, ScriptedOracle({}), min_ratio=0.0, head_threshold=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.mask.area() for r in records] == [9, 16, 25, 36]
+    assert (report.final_kept, report.stage2_queried) == (4, 4)
+    assert peak < 1 << 20

@@ -12,6 +12,7 @@ from regionrec.maskio import (
     BinaryMask,
     MaskRecord,
     RasterImage,
+    RunLengthMask,
     mask_from_rle,
     mask_to_rle,
     read_pgm,
@@ -250,3 +251,49 @@ def test_records_error_names_line(tmp_path):
     path.write_text('{"image_id":"a","label":null,"rle":{"size":[1,2],"counts":[3]}}\n')
     with pytest.raises(ValueError, match="line 1"):
         read_records(path)
+
+
+def _random_counts(rng, h, w) -> list[int]:
+    """Random runs of an h x w raster, with zero-length runs inserted
+    anywhere: first (so the first pixel is true), between runs and last."""
+    cuts = np.sort(rng.integers(0, h * w + 1, size=int(rng.integers(0, 8))))
+    counts = np.diff(np.concatenate(([0], cuts, [h * w]))).tolist()
+    for _ in range(int(rng.integers(0, 4))):
+        counts.insert(int(rng.integers(0, len(counts) + 1)), 0)
+    return counts
+
+
+def test_a_record_keeps_its_runs_and_decodes_them_as_mask_from_rle(tmp_path, rng):
+    rles = []
+    while len(rles) < 300:
+        h, w = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        counts = _random_counts(rng, h, w)
+        if any(counts[1::2]):  # an empty mask is an error, tested below
+            rles.append({"size": [h, w], "counts": counts})
+    path = tmp_path / "runs.jsonl"
+    path.write_text("".join(json.dumps({"image_id": "im", "rle": rle}) + "\n" for rle in rles))
+    records = read_records(path)
+    for rle, record in zip(rles, records, strict=True):
+        mask, decoded = record.mask, mask_from_rle(rle)
+        assert isinstance(mask, RunLengthMask) and np.array_equal(mask.counts, rle["counts"])
+        assert (mask.height, mask.width, mask.area()) == (decoded.height, decoded.width, decoded.area())
+        assert np.array_equal(mask.bits, decoded.bits) and mask == decoded and decoded == mask
+        assert mask_to_rle(mask) == mask_to_rle(decoded)
+        assert not mask.counts.flags.writeable and not mask.bits.flags.writeable
+        assert set(vars(mask)) == {"height", "width", "counts"}  # no raster is kept
+    kinds = [rle["counts"] for rle in rles]
+    assert any(c[0] == 0 for c in kinds)  # the first pixel is true
+    assert any(0 in c[1:-1] for c in kinds) and any(c[-1] == 0 for c in kinds)
+
+
+@pytest.mark.parametrize("counts", [[12], [0, 0, 12], [5, 0, 7], [0, 0, 4, 0, 8, 0]],
+                         ids=["one-false-run", "zero-leading-pair", "zero-interior", "zero-trailing"])
+def test_runs_with_no_true_pixel_are_rejected_when_read(counts, tmp_path):
+    good = {"image_id": "a", "rle": {"size": [3, 4], "counts": [0, 12]}}
+    bad = {"image_id": "a", "rle": {"size": [3, 4], "counts": counts}}
+    (tmp_path / "empty.jsonl").write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_records(tmp_path / "empty.jsonl")
+    assert str(exc.value) == "record error at line 2: mask has no true bits"
+    with pytest.raises(ValueError, match="^mask has no true bits$"):
+        mask_from_rle(bad["rle"])

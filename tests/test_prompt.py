@@ -8,7 +8,7 @@ from regionrec.attnmask import canonical_layout
 from regionrec.decoder import DecoderParams, assemble_sequence, make_vocab, prompt_sequence
 from regionrec.encoder import GRID_SIDE, EncoderParams, encode
 from regionrec.harness import synthesize_mask_corpus
-from regionrec.maskio import BinaryMask, RasterImage
+from regionrec.maskio import BinaryMask, RasterImage, RunLengthMask, mask_to_rle
 from regionrec.prompt import CONTEXT_SCALE, MaskTokenSet, build_prompt_batch, dump_token_set, mask2token
 from regionrec.region import context_crop_window, downsample_to_grid, extract_and_resize, tight_bbox
 
@@ -133,6 +133,23 @@ def test_each_batch_set_equals_mask2token_alone(rng):
         alone = mask2token(img, m, ENC, mask_index=i)
         assert np.array_equal(batch.mask_token_sets[i].tokens, alone.tokens)
         assert np.array_equal(batch.mask_token_sets[i].grid_indices, alone.grid_indices)
+
+
+def test_a_run_length_mask_is_decoded_once_and_tokenized_as_its_raster(rng, monkeypatch):
+    img = _image(rng)
+    masks = [random_mask(rng, 64, 64, p=float(rng.random() * 0.2 + 0.01)) for _ in range(3)]
+    runs = [RunLengthMask(64, 64, np.array(mask_to_rle(m)["counts"])) for m in masks]
+    decode, reads = RunLengthMask.bits.fget, []
+    monkeypatch.setattr(RunLengthMask, "bits", property(lambda m: reads.append(id(m)) or decode(m)))
+    batch = build_prompt_batch(img, runs, ENC)
+    assert reads == [id(run) for run in runs]
+    for i, (mask, run) in enumerate(zip(masks, runs)):
+        alone = mask2token(img, mask, ENC, mask_index=i)
+        assert np.array_equal(batch.mask_token_sets[i].tokens, alone.tokens)
+        assert np.array_equal(batch.mask_token_sets[i].grid_indices, alone.grid_indices)
+        reads.clear()
+        assert np.array_equal(mask2token(img, run, ENC, mask_index=i).tokens, alone.tokens)
+        assert reads == [id(run)]
 
 
 def test_mask_of_another_size_is_rejected(rng):
