@@ -31,6 +31,11 @@ chunk's block holds is run once more when it stops, to cache its last
 token.  Each step computes the same products over the same rows as that
 forward, and ``_dense`` pads the few-row ones, so for the weight shapes the
 tests pin the decode is bit-equal to one full forward per token.
+
+The last layer's output is read only at the prefix pass's anchors, a step's
+newest slot and the loss's ``_chunk_rows`` rows, so past its keys and
+values that layer runs only there; every read logit is bit-equal to
+``forward``'s.
 """
 
 from __future__ import annotations
@@ -336,31 +341,37 @@ def _block_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int, ke
     return (w @ v_b).transpose(1, 0, 2).reshape(rows, dim)
 
 
-def _layers(x: np.ndarray, rows: np.ndarray, attn_blocks, params: DecoderParams, cache) -> np.ndarray:
+def _layers(x: np.ndarray, rows: np.ndarray, read: np.ndarray, attn_blocks, params: DecoderParams, cache) -> np.ndarray:
     """Every layer over the sorted sequence positions ``rows``; ``x`` holds
     their embedded input.  ``cache`` yields each layer's (k, v), (n, dim)
     arrays indexed by position, which take the rows' keys and values; then
     each ``(start, stop, keys)`` block, whose rows lie in ``rows``, attends
     over the rows of k and v at ``keys``.  Keys outside the set are never
     read; rows in no block get the zero vector.  Nothing here holds a pair
-    past its layer's attention."""
+    past its layer's attention.  Returns the last layer's output at ``read``,
+    sorted positions in ``rows``: that layer stores every row's keys and
+    values, but attends only in the blocks that hold a read row, each whole,
+    and runs ``wo``, the residual and the MLP on the read rows alone."""
     cache = iter(cache)
-    for block in params.blocks:
+    for i, block in enumerate(params.blocks):
         k, v = next(cache)
+        out = read if i == params.layers - 1 else rows  # the positions this layer's output is read at
         h = _layer_norm(x, block.ln1_g, block.ln1_b)
         q = _dense(h, block.wq)
         k[rows] = _dense(h, block.wk)
         v[rows] = _dense(h, block.wv)
-        a = np.zeros_like(h)
+        a = np.zeros((out.size, h.shape[1]))
         for start, stop, keys in attn_blocks:
-            i = np.searchsorted(rows, start)
-            span = slice(i, i + stop - start)
-            a[span] = _block_attention(q[span], k[keys], v[keys], start, keys, params.heads)
+            lo, hi = np.searchsorted(out, (start, stop))
+            if lo < hi:
+                j = np.searchsorted(rows, start)
+                attn = _block_attention(q[j : j + stop - start], k[keys], v[keys], start, keys, params.heads)
+                a[lo:hi] = attn[out[lo:hi] - start]
         a = _dense(a, block.wo)
         # free the layer's attention operands before the residual and the
         # MLP allocate: the peak of a score-sized forward depends on it
         del h, q, k, v
-        x = x + a
+        x = x[np.searchsorted(rows, out)] + a
         del a
         h = _layer_norm(x, block.ln2_g, block.ln2_b)
         x = x + _dense(_gelu(_dense(h, block.w1)), block.w2)
@@ -378,6 +389,8 @@ def embed_sequence(seq: TokenSequence, params: DecoderParams) -> np.ndarray:
     ids = seq.ids
     if ids.max(initial=-1) >= len(params.vocab):
         raise ValueError("vocab error: token id out of range")
+    if not np.isfinite(seq.injected).all():
+        raise ValueError("numeric error: non-finite injected values")
     x = np.empty((n, params.dim))
     id_rows = ids >= 0
     x[id_rows] = params.embed[ids[id_rows]]
@@ -386,18 +399,21 @@ def embed_sequence(seq: TokenSequence, params: DecoderParams) -> np.ndarray:
     return x + params.pos[:n]
 
 
-def forward(seq: TokenSequence, mask: AttentionMask, params: DecoderParams) -> np.ndarray:
-    """Per-position logits under the given visibility mask."""
+def _read_logits(seq: TokenSequence, mask: AttentionMask, params: DecoderParams, read: np.ndarray) -> np.ndarray:
+    """The logits at the sorted positions ``read`` under the given visibility mask."""
     if mask.layout != seq.layout:
         raise ValueError(f"shape error: mask layout {mask.layout.header()!r} "
                          f"is not the sequence layout {seq.layout.header()!r}")
-    if not np.isfinite(seq.injected).all():
-        raise ValueError("numeric error: non-finite injected values")
     # fresh keys and values per layer, freed once its attention is done; no
     # name here keeps the embedded input alive through the layers either
     shape = (seq.n, params.dim)
     cache = ((np.empty(shape), np.empty(shape)) for _ in params.blocks)
-    return _logits(_layers(embed_sequence(seq, params), np.arange(seq.n), mask.blocks(), params, cache), params)
+    return _logits(_layers(embed_sequence(seq, params), np.arange(seq.n), read, mask.blocks(), params, cache), params)
+
+
+def forward(seq: TokenSequence, mask: AttentionMask, params: DecoderParams) -> np.ndarray:
+    """Per-position logits under the given visibility mask."""
+    return _read_logits(seq, mask, params, np.arange(seq.n))
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +508,11 @@ def decode_objects(
     Each object gets ``max_label_len`` pre-allocated slots and stops at the
     end token or when they run out; then the next object starts.  The mask's
     blocks give every key set.  One prefix pass over the rows before the
-    first slot caches each layer's keys and values there and gives each
-    object's first-token logits at its anchor; each later token costs one
-    pass of the object's filled slots, at most ``max_label_len`` rows, over
-    the filled keys of the object's block.  Each step equals a
+    first slot caches each layer's keys and values there and computes the
+    last layer's output, and the logits, at the K anchors only: each
+    object's first-token logits.  Each later token costs one pass of the
+    object's filled slots, at most ``max_label_len`` rows, over the filled
+    keys of the object's block, read at its newest slot.  Each step equals a
     teacher-forced ``forward`` over the decoded output (see the module
     docstring).
     """
@@ -513,17 +530,19 @@ def decode_objects(
     # change after this pass
     x = embed_sequence(seq, params)
     cache = [(np.empty_like(x), np.empty_like(x)) for _ in params.blocks]
-    first_logits = _logits(_layers(x[:first_slot], np.arange(first_slot), prefix, params, cache), params)
+    anchors = np.array([_chunk_rows(layout, i)[1][0] for i in range(layout.num_objects)])
+    first_logits = _logits(_layers(x[:first_slot], np.arange(first_slot), anchors, prefix, params, cache), params)
     # how many chunk blocks hold each position: a chunk's own block holds its first slot
     readers = np.bincount(np.concatenate([np.zeros(0, dtype=np.int64), *(keys for *_, keys in chunks)]))
     steps, labels = [], []
     for i, (lo, hi, keys) in enumerate(chunks):
 
         def push(stop):
-            """The chunk's filled rows through every layer over the block's filled keys."""
-            return _layers(x[lo:stop], np.arange(lo, stop), [(lo, stop, keys[~unfilled[keys]])], params, cache)
+            """The chunk's filled rows through every layer over the block's filled keys; the last row's output."""
+            rows = np.arange(lo, stop)
+            return _layers(x[lo:stop], rows, rows[-1:], [(lo, stop, keys[~unfilled[keys]])], params, cache)
 
-        logits = first_logits[_chunk_rows(layout, i)[1][0]]
+        logits = first_logits[i]
         lps, words = [], []
         for slot in range(lo, hi):
             tok = int(np.argmax(logits))
@@ -534,7 +553,7 @@ def decode_objects(
                 break
             words.append(params.vocab[tok])
             if slot < hi - 1:
-                logits = _logits(push(slot + 1)[-1:], params)[0]
+                logits = _logits(push(slot + 1), params)[0]
         if readers[lo] > 1:  # later chunks read this one's keys and values, its last token's too
             push(slot + 1)
         steps.append(tuple(lps))
@@ -605,10 +624,11 @@ def teacher_forced_loss(
         pairs.extend(zip(rows[: filled.size].tolist(), chunk_ids[: filled.size].tolist()))
     if not pairs:
         raise ValueError("precondition violation: no output positions")
-    logits = forward(seq, mask, params)
+    read = np.unique([pos for pos, _ in pairs])
+    logits = _read_logits(seq, mask, params, read)
     total = 0.0
     for pred_pos, target in pairs:
-        total -= float(log_softmax(logits[pred_pos])[target])
+        total -= float(log_softmax(logits[np.searchsorted(read, pred_pos)])[target])
     return total / len(pairs)
 
 

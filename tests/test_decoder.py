@@ -2,6 +2,7 @@
 identities the cascade mask promises, and decode input checks."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,8 +32,9 @@ from regionrec.decoder import (
     make_vocab,
     teacher_forced_loss,
 )
-from regionrec.encoder import FeatureGrid
-from regionrec.prompt import MaskTokenSet, PromptBatch
+from regionrec.encoder import EncoderParams, FeatureGrid
+from regionrec.harness import bench_decoder_params, synthesize_mask_corpus
+from regionrec.prompt import OUTPUT_SLOTS, MaskTokenSet, PromptBatch, build_prompt_batch
 
 from conftest import oracle_cascade_bits, random_layout
 
@@ -137,6 +139,21 @@ def ref_decode_objects(batch, text_ids, params, config, max_label_len) -> Decode
     return DecodeResult.from_steps(labels, steps)
 
 
+def loss_from_forward(seq, mask, params) -> float:
+    """The loss read off one full ``forward``: every row through every layer
+    and the head, then each target's log-softmax at its ``_chunk_rows`` row."""
+    layout, pairs = seq.layout, []
+    for i in range(layout.num_objects):
+        slots, rows = decoder._chunk_rows(layout, i)
+        filled = int((seq.ids[slots] != params.pad_id).sum())
+        pairs.extend(zip(rows[:filled].tolist(), seq.ids[slots][:filled].tolist()))
+    logits = forward(seq, mask, params)
+    total = 0.0
+    for pred_pos, target in pairs:
+        total -= float(log_softmax(logits[pred_pos])[target])
+    return total / len(pairs)
+
+
 # ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------
@@ -159,6 +176,12 @@ def wide_params():
     """dim 128, where 4-row padding of the decode step's products is not
     bit-equal to ``forward``'s rows."""
     return DecoderParams.seeded(4, VOCAB, dim=128, heads=8, layers=2, enc_dim=ENC_DIM, max_len=256)
+
+
+@pytest.fixture(scope="module")
+def bench_params():
+    """The bench decoder (dim 256, 4 layers, a 128-word vocabulary) on ``ENC_DIM`` injected features."""
+    return bench_decoder_params(0, enc_dim=ENC_DIM)
 
 
 def random_sequence(rng, layout, params, fill_all=False) -> TokenSequence:
@@ -301,6 +324,36 @@ def test_forward_rejects_a_mask_of_another_layout(params, rng):
         forward(seq, build_cascade_mask(other, CascadeConfig.full_cascade()), params)
 
 
+def test_teacher_forced_loss_rejects_a_mask_of_another_layout(params, rng):
+    layout = parse_layout_header("image:2 mask0:1 sep:1 out0:2")
+    other = parse_layout_header("image:3 mask0:1 out0:2")
+    seq, _ = gold_sequence(rng, layout, params)
+    with pytest.raises(ValueError) as exc:
+        teacher_forced_loss(seq, build_cascade_mask(other, CascadeConfig.full_cascade()), params)
+    assert str(exc.value) == ("shape error: mask layout 'image:3 mask0:1 out0:2' "
+                              "is not the sequence layout 'image:2 mask0:1 sep:1 out0:2'")
+
+
+def test_every_entry_point_rejects_non_finite_injected_values(params, rng):
+    """``forward``, the loss and the decode share one check, in ``embed_sequence``."""
+    layout = parse_layout_header("image:4 mask0:2 sep:1 mask1:1 out0:2 out1:2")
+    seq, _ = gold_sequence(rng, layout, params)
+    injected = seq.injected.copy()
+    injected[5, 1] = np.nan
+    seq = TokenSequence(ids=seq.ids, injected=injected, layout=layout)
+    mask = build_cascade_mask(layout, CascadeConfig.full_cascade())
+    batch = random_batch(rng, [2, 1])
+    tokens = batch.mask_token_sets[1].tokens.copy()
+    tokens[0, 2] = np.nan
+    nan_set = dataclasses.replace(batch.mask_token_sets[1], tokens=tokens)
+    batch = PromptBatch(batch.image_tokens, (batch.mask_token_sets[0], nan_set))
+    for run in (lambda: forward(seq, mask, params), lambda: teacher_forced_loss(seq, mask, params),
+                lambda: decode_objects(batch, [params.token_id("<start>")], params, max_label_len=2)):
+        with pytest.raises(ValueError) as exc:
+            run()
+        assert str(exc.value) == "numeric error: non-finite injected values"
+
+
 def test_no_dense_matrix_is_built_on_the_hot_path(params, rng, monkeypatch):
     layout = parse_layout_header("image:1 mask0:1 sep:1 out0:2")
     seq = assemble_sequence(layout, params, rng.normal(size=(1, ENC_DIM)), {0: rng.normal(size=(1, ENC_DIM))},
@@ -433,7 +486,7 @@ def test_one_pass_over_two_chunks_equals_one_pass_per_chunk(shape, params, wide_
         first_slot = int(layout.positions(OUT)[0])
         prefix = [b for b in blocks if b[0] < first_slot]
         cache = [(np.empty_like(x), np.empty_like(x)) for _ in dec.blocks]
-        decoder._layers(x[:first_slot], np.arange(first_slot), prefix, dec, cache)
+        decoder._layers(x[:first_slot], np.arange(first_slot), np.arange(first_slot), prefix, dec, cache)
         # the earlier chunk keeps an unfilled slot, so the rows are never one run
         chunks = []
         for i, most in zip(sorted(rng.choice(k, size=2, replace=False)), (slots - 1, slots)):
@@ -444,12 +497,104 @@ def test_one_pass_over_two_chunks_equals_one_pass_per_chunk(shape, params, wide_
         assert np.diff(rows).max() > 1
 
         joint_cache = [(kc.copy(), vc.copy()) for kc, vc in cache]
-        joint = decoder._layers(x[rows], rows, chunks, dec, joint_cache)
-        alone = np.concatenate([decoder._layers(x[lo:stop], np.arange(lo, stop), [(lo, stop, keys)], dec, cache)
-                                for lo, stop, keys in chunks])
+        joint = decoder._layers(x[rows], rows, rows, chunks, dec, joint_cache)
+        alone = np.concatenate([decoder._layers(x[lo:stop], np.arange(lo, stop), np.arange(lo, stop),
+                                                [(lo, stop, keys)], dec, cache) for lo, stop, keys in chunks])
         assert np.array_equal(joint, alone)
         for (kj, vj), (ka, va) in zip(joint_cache, cache):
             assert np.array_equal(kj[rows], ka[rows]) and np.array_equal(vj[rows], va[rows])
+
+
+def gold_sequence(rng, layout, params) -> tuple[TokenSequence, np.ndarray]:
+    """Random injected rows and text, each output chunk holding a random
+    label and its end token; and the trailing slots that label leaves unused."""
+    seq = random_sequence(rng, layout, params)
+    ids, unused = seq.ids.copy(), []
+    for i in range(layout.num_objects):
+        slots = layout.positions(OUT, i)
+        fill = int(rng.integers(1, slots.size + 1))
+        ids[slots[: fill - 1]] = rng.integers(4, len(params.vocab), size=fill - 1)
+        ids[slots[fill - 1]] = params.end_id
+        ids[slots[fill:]] = params.pad_id
+        unused.extend(slots[fill:])
+    return TokenSequence(ids=ids, injected=seq.injected, layout=layout), np.asarray(unused, dtype=np.int64)
+
+
+def narrowed_pass(seq, mask, params, read):
+    """``_layers`` over every row with only ``read`` read: the read rows'
+    logits, and each layer's cached keys and values."""
+    x = embed_sequence(seq, params)
+    cache = [(np.full_like(x, np.nan), np.full_like(x, np.nan)) for _ in params.blocks]
+    out = decoder._layers(x, np.arange(seq.n), read, mask.blocks(), params, cache)
+    return decoder._logits(out, params), cache
+
+
+# K=1 with a one-token chunk, one-token chunks at K=3, and separators between chunks
+EDGE_HEADERS = ["image:3 mask0:2 out0:1", "image:2 text:2 mask0:1 sep:1 mask1:3 mask2:1 out0:1 out1:1 out2:1",
+                "image:4 text:3 mask0:2 sep:1 mask1:2 sep:1 out0:3 sep:1 out1:2"]
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)
+@pytest.mark.parametrize("shape", ["dim16", "dim128", "cli", "bench"])
+def test_the_last_layer_narrowed_to_the_read_rows_equals_forward(config, shape, params, wide_params, cli_params,
+                                                                bench_params, rng):
+    """Logits at the read rows are bit-equal to ``forward``'s, and every
+    layer's cached keys and values to a pass that reads every row: for the
+    loss's rows, for fewer rows than ``_dense`` pads to, for the anchors with
+    one of them in no block, and for K=1 and one-token chunks."""
+    dec = {"dim16": params, "dim128": wide_params, "cli": cli_params, "bench": bench_params}[shape]
+    layouts = [parse_layout_header(h) for h in EDGE_HEADERS] + [random_layout(rng) for _ in range(3)]
+    for layout in layouts:
+        seq, unused = gold_sequence(rng, layout, dec)
+        mask = build_cascade_mask(layout, config).without(unused)
+        anchors = np.array([layout.positions(MASK, i)[-1] for i in range(layout.num_objects)])
+        loss_rows = np.unique(np.concatenate([decoder._chunk_rows(layout, i)[1] for i in range(layout.num_objects)]))
+        few = np.sort(rng.choice(layout.n, size=int(rng.integers(1, min(layout.n, 15) + 1)), replace=False))
+        every = np.arange(layout.n)
+        # a dead anchor lies in no block: its attention output stays zero
+        for m, read in [(mask, loss_rows), (mask, few), (mask.without(anchors[-1:]), anchors), (mask, every)]:
+            got, cache = narrowed_pass(seq, m, dec, read)
+            assert np.array_equal(got, forward(seq, m, dec)[read])
+            _, full_cache = narrowed_pass(seq, m, dec, every)
+            for (k, v), (k_full, v_full) in zip(cache, full_cache):
+                assert np.array_equal(k, k_full) and np.array_equal(v, v_full)  # NaN where a row was not stored
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)
+def test_teacher_forced_loss_equals_the_loss_read_off_forward(config, params, rng):
+    """On random layouts, with the slots past each label alive and dead."""
+    for _ in range(8):
+        layout = random_layout(rng)
+        seq, unused = gold_sequence(rng, layout, params)
+        for mask in (build_cascade_mask(layout, config), build_cascade_mask(layout, config).without(unused)):
+            assert teacher_forced_loss(seq, mask, params) == loss_from_forward(seq, mask, params)
+
+
+def test_a_score_sized_loss_equals_the_loss_read_off_forward_and_peaks_no_higher(bench_params):
+    """The bench decoder on the 30 masks of ``synthesize_mask_corpus`` behind
+    a 128-token text, the score workload's shape: the loss is ``==`` to the
+    forward formula, and its traced peak is no higher than ``forward``'s."""
+    image, masks = synthesize_mask_corpus(30)
+    batch = build_prompt_batch(image, masks, EncoderParams.seeded(0, dim=ENC_DIM))
+    text_ids = [bench_params.token_id("<start>")] * 128
+    layout = batch.layout(len(text_ids), OUTPUT_SLOTS)
+    rng = np.random.default_rng(30)
+    words = len(bench_params.vocab)
+    gold = {i: [*rng.integers(4, words, size=int(rng.integers(0, OUTPUT_SLOTS))), bench_params.end_id]
+            for i in range(layout.num_objects)}
+    seq = assemble_sequence(layout, bench_params, batch.image_tokens.tokens(),
+                            {ts.mask_index: ts.tokens for ts in batch.mask_token_sets}, text_ids, gold)
+    mask = build_cascade_mask(layout, CascadeConfig.full_cascade())
+    assert teacher_forced_loss(seq, mask, bench_params) == loss_from_forward(seq, mask, bench_params)
+    peaks = []
+    for run in (forward, teacher_forced_loss):
+        tracemalloc.start()
+        try:
+            run(seq, mask, bench_params)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
 
 
 def test_object0_steps_are_independent_of_k(params, rng):
