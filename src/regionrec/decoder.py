@@ -349,33 +349,37 @@ def _layers(x: np.ndarray, rows: np.ndarray, read: np.ndarray, attn_blocks, para
     over the rows of k and v at ``keys``.  Keys outside the set are never
     read; rows in no block get the zero vector.  Nothing here holds a pair
     past its layer's attention.  Returns the last layer's output at ``read``,
-    sorted positions in ``rows``: that layer stores every row's keys and
-    values, but attends only in the blocks that hold a read row, each whole,
-    and runs ``wo``, the residual and the MLP on the read rows alone."""
+    sorted positions in ``rows`` (with no layers, the input there): that
+    layer stores every row's keys and values, but attends only in the blocks
+    that hold a read row, each whole, and runs ``wo``, the residual and the
+    MLP on the read rows alone."""
     cache = iter(cache)
-    for i, block in enumerate(params.blocks):
+    pick = np.searchsorted(rows, read)  # the read rows of x
+    for depth, block in enumerate(params.blocks, 1):
+        last = depth == params.layers
         k, v = next(cache)
-        out = read if i == params.layers - 1 else rows  # the positions this layer's output is read at
         h = _layer_norm(x, block.ln1_g, block.ln1_b)
         q = _dense(h, block.wq)
         k[rows] = _dense(h, block.wk)
         v[rows] = _dense(h, block.wv)
-        a = np.zeros((out.size, h.shape[1]))
+        a = np.zeros_like(h)
         for start, stop, keys in attn_blocks:
-            lo, hi = np.searchsorted(out, (start, stop))
-            if lo < hi:
-                j = np.searchsorted(rows, start)
-                attn = _block_attention(q[j : j + stop - start], k[keys], v[keys], start, keys, params.heads)
-                a[lo:hi] = attn[out[lo:hi] - start]
+            if not last or np.searchsorted(read, start) < np.searchsorted(read, stop):
+                i = np.searchsorted(rows, start)
+                span = slice(i, i + stop - start)
+                a[span] = _block_attention(q[span], k[keys], v[keys], start, keys, params.heads)
+        if last:  # one pick at a time, so no more than one extra copy is alive
+            a = a[pick]
+            x = x[pick]
         a = _dense(a, block.wo)
         # free the layer's attention operands before the residual and the
         # MLP allocate: the peak of a score-sized forward depends on it
         del h, q, k, v
-        x = x[np.searchsorted(rows, out)] + a
+        x = x + a
         del a
         h = _layer_norm(x, block.ln2_g, block.ln2_b)
         x = x + _dense(_gelu(_dense(h, block.w1)), block.w2)
-    return x
+    return x if params.layers else x[pick]
 
 
 def _logits(x: np.ndarray, params: DecoderParams) -> np.ndarray:

@@ -570,6 +570,25 @@ def test_teacher_forced_loss_equals_the_loss_read_off_forward(config, params, rn
             assert teacher_forced_loss(seq, mask, params) == loss_from_forward(seq, mask, params)
 
 
+@pytest.mark.parametrize("config", ALL_CONFIGS, ids=CONFIG_IDS)
+def test_a_decoder_of_no_layers_reads_its_logits_at_the_read_rows(config, rng):
+    """With no layer to narrow, the head runs on the embedded input at the
+    read rows: ``forward`` is the head over every row, the decode equals the
+    per-step forward, and the loss equals the forward formula."""
+    dec = DecoderParams.seeded(3, VOCAB, dim=16, heads=2, layers=0, enc_dim=ENC_DIM, max_len=256)
+    text_ids = [dec.token_id("<start>"), dec.token_id("w0")]
+    for slots in (1, 3, 5):
+        batch = random_batch(rng, [int(m) for m in rng.integers(1, 5, size=int(rng.integers(1, 5)))])
+        want = ref_decode_objects(batch, text_ids, dec, config, slots)
+        assert decode_objects(batch, text_ids, dec, config=config, max_label_len=slots) == want
+    for _ in range(4):
+        layout = random_layout(rng)
+        seq, unused = gold_sequence(rng, layout, dec)
+        mask = build_cascade_mask(layout, config).without(unused)
+        assert np.array_equal(forward(seq, mask, dec), decoder._logits(embed_sequence(seq, dec), dec))
+        assert teacher_forced_loss(seq, mask, dec) == loss_from_forward(seq, mask, dec)
+
+
 def test_a_score_sized_loss_equals_the_loss_read_off_forward_and_peaks_no_higher(bench_params):
     """The bench decoder on the 30 masks of ``synthesize_mask_corpus`` behind
     a 128-token text, the score workload's shape: the loss is ``==`` to the
