@@ -36,6 +36,12 @@ The last layer's output is read only at the prefix pass's anchors, a step's
 newest slot and the loss's ``_chunk_rows`` rows, so past its keys and
 values that layer runs only there; every read logit is bit-equal to
 ``forward``'s.
+
+Each layer's MLP runs ``_MLP_ROWS`` rows at a time with an in-place GELU,
+so it holds one run's 4·dim-wide temporaries, not n rows'.  Each run but the
+last has ``_MLP_ROWS`` rows and ``_dense`` pads a short last one, so for
+the weight shapes the tests pin, its rows keep the n-row products' bits; a
+decode step's rows are one run.
 """
 
 from __future__ import annotations
@@ -287,7 +293,13 @@ def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    """``0.5 * x * (1 + erf(x / sqrt(2)))`` with one temporary, its operations in order; ``x`` is overwritten."""
+    e = x / np.sqrt(2.0)
+    erf(e, out=e)
+    e += 1.0
+    x *= 0.5
+    e *= x  # the same bits as (0.5 * x) * e: IEEE products commute
+    return e
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -296,6 +308,7 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 _MIN_ROWS = 16
+_MLP_ROWS = 256
 
 
 def _dense(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -352,7 +365,7 @@ def _layers(x: np.ndarray, rows: np.ndarray, read: np.ndarray, attn_blocks, para
     sorted positions in ``rows`` (with no layers, the input there): that
     layer stores every row's keys and values, but attends only in the blocks
     that hold a read row, each whole, and runs ``wo``, the residual and the
-    MLP on the read rows alone."""
+    MLP on the read rows alone.  The MLP runs ``_MLP_ROWS`` rows at a time."""
     cache = iter(cache)
     pick = np.searchsorted(rows, read)  # the read rows of x
     for depth, block in enumerate(params.blocks, 1):
@@ -373,12 +386,12 @@ def _layers(x: np.ndarray, rows: np.ndarray, read: np.ndarray, attn_blocks, para
             x = x[pick]
         a = _dense(a, block.wo)
         # free the layer's attention operands before the residual and the
-        # MLP allocate: the peak of a score-sized forward depends on it
+        # MLP allocate, so that a score-sized forward peaks in the attention
         del h, q, k, v
         x = x + a
-        del a
         h = _layer_norm(x, block.ln2_g, block.ln2_b)
-        x = x + _dense(_gelu(_dense(h, block.w1)), block.w2)
+        for s in range(0, len(h), _MLP_ROWS):  # x is the sum just made, never the caller's array
+            x[s : s + _MLP_ROWS] += _dense(_gelu(_dense(h[s : s + _MLP_ROWS], block.w1)), block.w2)
     return x if params.layers else x[pick]
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from regionrec import decoder
 from regionrec.attnmask import (
@@ -21,7 +22,6 @@ from regionrec.decoder import (
     DecodeResult,
     DecoderParams,
     TokenSequence,
-    _gelu,
     _layer_norm,
     assemble_sequence,
     decode_objects,
@@ -99,13 +99,17 @@ def oracle_attention(x_norm, block, heads, runs) -> np.ndarray:
     return out @ block.wo
 
 
+def oracle_gelu(x: np.ndarray) -> np.ndarray:
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+
+
 def oracle_forward(seq, mask, params) -> np.ndarray:
     x = embed_sequence(seq, params)
     runs = oracle_visible_runs(mask.bits)
     for block in params.blocks:
         x = x + oracle_attention(_layer_norm(x, block.ln1_g, block.ln1_b), block, params.heads, runs)
         h = _layer_norm(x, block.ln2_g, block.ln2_b)
-        x = x + _gelu(h @ block.w1) @ block.w2
+        x = x + oracle_gelu(h @ block.w1) @ block.w2
     return _layer_norm(x, params.ln_f_g, params.ln_f_b) @ params.head
 
 
@@ -404,6 +408,27 @@ def test_padded_products_are_bit_equal_to_rows_of_the_full_product(shape):
                     f"padding to {decoder._MIN_ROWS} rows does not make decode steps bit-equal on this BLAS build")
 
 
+# each layer's MLP up and down weights, for dims 16 to 256
+MLP_WEIGHT_SHAPES = [(d, 4 * d) for d in (16, 32, 128, 256)] + [(4 * d, d) for d in (16, 32, 128, 256)]
+
+
+@pytest.mark.parametrize("shape", MLP_WEIGHT_SHAPES, ids=[f"{a}x{b}" for a, b in MLP_WEIGHT_SHAPES])
+def test_mlp_row_runs_are_bit_equal_to_rows_of_the_full_product(shape):
+    """The MLP multiplies ``_MLP_ROWS`` rows at a time; every run, the
+    shorter last one too (9 rows at n=521, which ``_dense`` pads), gives the
+    bits of the same rows of the n-row product on this BLAS build."""
+    rng = np.random.default_rng(shape[0] * 11 + shape[1])
+    w = rng.normal(size=shape)
+    runs = decoder._MLP_ROWS
+    for n in (37, 383, 521, 1464, 2101):
+        x = rng.normal(size=(n, shape[0]))
+        full = x @ w
+        for lo in range(0, n, runs):
+            assert np.array_equal(decoder._dense(x[lo : lo + runs], w), full[lo : lo + runs]), (
+                f"rows {lo} to {min(lo + runs, n)} of {n} times a {shape} weight differ from the full product's "
+                f"rows: the MLP's {runs}-row runs are not bit-equal to one n-row product on this BLAS build")
+
+
 # ---------------------------------------------------------------------------
 # Exact identities
 # ---------------------------------------------------------------------------
@@ -469,6 +494,15 @@ def test_cached_decode_equals_the_per_step_forward(config, shape, params, wide_p
         batch = random_batch(rng, mask_lens, grid_side=side)
         want = ref_decode_objects(batch, text_ids, dec, config, slots)
         assert decode_objects(batch, text_ids, dec, config=config, max_label_len=slots) == want
+    # a 270-row prefix pass, whose MLP runs 256 rows and then 14, fewer than
+    # ``_dense`` pads to; positions past 256 repeat the first 256
+    long = dataclasses.replace(dec, pos=np.resize(dec.pos, (512, dec.dim)))
+    for slots in (2, 5):
+        batch = random_batch(rng, [3, 2, 4], grid_side=16)
+        first_slot = batch.layout(len(text_ids), slots).n - 3 * slots
+        assert decoder._MLP_ROWS < first_slot < decoder._MLP_ROWS + decoder._MIN_ROWS
+        want = ref_decode_objects(batch, text_ids, long, config, slots)
+        assert decode_objects(batch, text_ids, long, config=config, max_label_len=slots) == want
 
 
 @pytest.mark.parametrize("shape", ["dim16", "dim128", "cli"])
@@ -589,10 +623,37 @@ def test_a_decoder_of_no_layers_reads_its_logits_at_the_read_rows(config, rng):
         assert teacher_forced_loss(seq, mask, dec) == loss_from_forward(seq, mask, dec)
 
 
+@pytest.mark.parametrize("shape", ["dim16", "dim128", "cli", "bench", "dim9"])
+def test_the_mlp_over_row_runs_equals_the_unchunked_formula(shape, params, wide_params, cli_params, bench_params, rng,
+                                                            monkeypatch):
+    """``forward``, whose MLP runs ``_MLP_ROWS`` rows at a time through the
+    in-place GELU, is bit-equal to one out-of-place MLP over all n rows: for
+    n below one run, a multiple of it, and a last run of 9 rows, fewer than
+    ``_dense`` pads to.  dim 9 puts ``w1``'s width 36 through ``_dense``'s
+    column pad."""
+    odd = DecoderParams.seeded(6, VOCAB, dim=9, heads=3, layers=2, enc_dim=ENC_DIM, max_len=256)
+    dec = {"dim16": params, "dim128": wide_params, "cli": cli_params, "bench": bench_params, "dim9": odd}[shape]
+    dec = dataclasses.replace(dec, pos=np.resize(dec.pos, (1024, dec.dim)))  # positions past 256 repeat
+    for n in (37, 512, 521):
+        layout = parse_layout_header(f"image:{n - 19} text:3 mask0:4 sep:1 mask1:5 out0:3 out1:3")
+        seq, unused = gold_sequence(rng, layout, dec)
+        mask = build_cascade_mask(layout, CascadeConfig.full_cascade()).without(unused)
+        got = forward(seq, mask, dec)
+        with monkeypatch.context() as m:
+            m.setattr(decoder, "_MLP_ROWS", n)
+            m.setattr(decoder, "_gelu", oracle_gelu)
+            assert np.array_equal(got, forward(seq, mask, dec))
+
+
+# a score-sized ``forward`` peaked at 25.4 MiB with the MLP in runs, 51.7 MiB before
+SCORE_FORWARD_PEAK_BYTES = 32 * 2**20
+
+
 def test_a_score_sized_loss_equals_the_loss_read_off_forward_and_peaks_no_higher(bench_params):
     """The bench decoder on the 30 masks of ``synthesize_mask_corpus`` behind
-    a 128-token text, the score workload's shape: the loss is ``==`` to the
-    forward formula, and its traced peak is no higher than ``forward``'s."""
+    a 128-token text, the score workload's shape (n=1464): the loss is ``==``
+    to the forward formula; ``forward``'s traced peak stays under
+    ``SCORE_FORWARD_PEAK_BYTES``, and the loss's is no higher."""
     image, masks = synthesize_mask_corpus(30)
     batch = build_prompt_batch(image, masks, EncoderParams.seeded(0, dim=ENC_DIM))
     text_ids = [bench_params.token_id("<start>")] * 128
@@ -613,6 +674,7 @@ def test_a_score_sized_loss_equals_the_loss_read_off_forward_and_peaks_no_higher
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    assert peaks[0] < SCORE_FORWARD_PEAK_BYTES, f"forward peaked at {peaks[0] / 2**20:.1f} MiB"
     assert peaks[1] <= peaks[0]
 
 
