@@ -100,3 +100,28 @@ def test_cyclic_padding_keeps_rows_of_the_full_grid_product(fan_in, width):
         sel = np.sort(rng.choice(256, m, replace=False))
         got = np.resize(x[sel], (256, fan_in)) @ w
         assert np.array_equal(got[:m], full[sel]), m
+
+
+@pytest.mark.parametrize("patch_side", [4, 28])
+def test_zero_padding_keeps_rows_of_the_full_grid_product(patch_side):
+    """The identity Mask2Token's projection rests on: any sorted subset of
+    the grid's 256 patch rows, placed first in 256 rows with zero rows after
+    it and projected, gives exactly those rows of the full product.  Every
+    width 1-64 is tried, and across the widths every count of kept rows
+    1-256."""
+    fan_in = patch_side * patch_side
+    rng = np.random.default_rng(fan_in)
+    x = rng.integers(0, 256, (256, fan_in)) / 255.0
+    for width in range(1, 65):
+        w = rng.uniform(-1, 1, (fan_in, width)).astype(np.float32).astype(np.float64)
+        full = x @ w
+        for m in sorted({1, 255, *range(width, 257, 64)}):
+            sel = np.sort(rng.choice(256, m, replace=False))
+            padded = np.zeros((256, fan_in))
+            padded[:m] = x[sel]
+            got = (padded @ w)[:m]
+            assert np.array_equal(got, full[sel]), (
+                f"patch side {patch_side}, width {width}, {m} kept rows: a row of the zero-padded 256-row "
+                "product is not bit-equal to that row of the full product, so this BLAS's result for a row "
+                "now depends on the other rows, and Mask2Token's zero-row pad no longer gives encode's tokens"
+            )
