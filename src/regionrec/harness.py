@@ -24,7 +24,7 @@ import numpy as np
 from .attnmask import CascadeConfig, build_cascade_mask
 from .decoder import START, DecoderParams, forward, make_vocab, prompt_sequence
 from .encoder import GRID_SIDE, EncoderParams
-from .maskio import BinaryMask, MaskRecord, RasterImage
+from .maskio import MaskRecord, RasterImage, RunLengthMask
 from .prng import Xoshiro256StarStar
 from .prompt import OUTPUT_SLOTS, build_prompt_batch
 
@@ -93,7 +93,7 @@ def bench_decoder_params(seed: int, enc_dim: int = 16) -> DecoderParams:
     )
 
 
-def synthesize_mask_corpus(n_masks: int, seed: int = 0) -> tuple[RasterImage, list[BinaryMask]]:
+def synthesize_mask_corpus(n_masks: int, seed: int = 0) -> tuple[RasterImage, list[RunLengthMask]]:
     """Deterministic 64x64 image plus masks that each select exactly
     ``BENCH_TOKENS_PER_MASK`` grid cells under the default context scale of 2.
 
@@ -122,7 +122,7 @@ def synthesize_mask_corpus(n_masks: int, seed: int = 0) -> tuple[RasterImage, li
             r, c = cell
             # window cell (r, c) spans [8c-32, 8c-24) x [8r-32, 8r-24) in pixels
             bits[8 * r - 28, 8 * c - 28] = True
-        masks.append(BinaryMask(bits))
+        masks.append(RunLengthMask.from_bits(bits))
     return image, masks
 
 
@@ -135,7 +135,7 @@ def check_k_values(k_values: list[int]) -> None:
 def run_scaling_bench(
     k_values: list[int],
     image: RasterImage,
-    masks: list[BinaryMask],
+    masks: list[RunLengthMask],
     enc_params: EncoderParams,
     dec_params: DecoderParams,
     text_len: int = BENCH_TEXT_LEN,

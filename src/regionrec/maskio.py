@@ -8,8 +8,11 @@ File formats:
   ``MAX_RLE_PIXELS`` pixels.
 * Mask record collections as JSON lines, one object per line:
   ``{"image_id": ..., "label": ..., "rle": {...}}``.  ``read_json_lines``
-  reads these and the prediction files of ``metrics``.  A record read from
-  a file keeps its checked runs; a raster is decoded only where it is read.
+  reads these and the prediction files of ``metrics``.
+
+The one mask type, ``RunLengthMask``, holds a mask's canonical runs from the
+file (or, for a raster, from ``RunLengthMask.from_bits``) through Mask2Token:
+geometry reads the runs, and ``bits`` decodes a raster for test oracles only.
 """
 
 from __future__ import annotations
@@ -62,46 +65,53 @@ class RasterImage:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
-class BinaryMask:
-    """2-D boolean raster; empty masks are rejected at construction."""
-
-    bits: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=bool)
-        if bits.ndim != 2:
-            raise ValueError(f"mask bits must be a 2-D array, got shape {bits.shape}")
-        if not bits.any():
-            raise ValueError("mask has no true bits")
-        object.__setattr__(self, "bits", _readonly(bits))
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    def area(self) -> int:
-        return int(self.bits.sum())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BinaryMask):
-            return NotImplemented
-        return bool(np.array_equal(self.bits, other.bits))
-
-
 @dataclass(frozen=True, eq=False)
 class RunLengthMask:
     """A mask held as its column-major runs, the first one false, in a
-    read-only int64 ``counts``.  ``read_records`` builds it from checked,
-    non-empty runs.  Each read of ``bits`` decodes a new raster."""
+    read-only int64 ``counts``.
+
+    Construction checks the size, the counts and that some pixel is true,
+    and makes the runs canonical: zero-length runs after the first are
+    merged away, so equal masks have equal ``counts``.  Each read of
+    ``bits`` decodes a new raster."""
 
     height: int
     width: int
     counts: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        h, w = self.height, self.width
+        if not (h >= 1 and w >= 1 and h * w <= MAX_RLE_PIXELS):
+            raise ValueError(f"rle size error: {h}x{w}, each side must be >= 1 and h*w <= {MAX_RLE_PIXELS}")
+        runs = np.asarray(self.counts)  # a Python int past int64 stays an exact object until checked
+        if (runs < 0).any():
+            raise ValueError("rle value error: negative count")
+        total = int(runs.sum())  # an empty list reads as float
+        if total != h * w:
+            raise ValueError(f"rle length error: counts sum {total} != {h * w}")
+        runs = runs.astype(np.int64)  # each count is at most h*w, so it fits
+        if not runs[1::2].any():
+            raise ValueError("mask has no true bits")
+        if not runs[1:].all():  # drop the zero-length runs after the first and merge equal neighbours
+            true = np.arange(len(runs)) % 2 == 1
+            runs, true = runs[runs > 0], true[runs > 0]
+            runs = np.add.reduceat(runs, np.flatnonzero(np.diff(true, prepend=~true[0])))
+            if true[0]:
+                runs = np.concatenate(([0], runs))
+        runs.flags.writeable = False
+        object.__setattr__(self, "counts", runs)
+
+    @classmethod
+    def from_bits(cls, bits) -> RunLengthMask:
+        """The runs of a 2-D boolean raster, read in column-major order."""
+        bits = np.asarray(bits, dtype=bool)
+        if bits.ndim != 2:
+            raise ValueError(f"mask bits must be a 2-D array, got shape {bits.shape}")
+        flat = bits.ravel(order="F")
+        counts = np.diff(np.concatenate(([0], np.flatnonzero(flat[1:] != flat[:-1]) + 1, [flat.size])))
+        if flat[:1].any():  # the first run counts false pixels, here none
+            counts = np.concatenate(([0], counts))
+        return cls(*bits.shape, counts)
 
     @property
     def bits(self) -> np.ndarray:
@@ -113,16 +123,17 @@ class RunLengthMask:
         return int(self.counts[1::2].sum())
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (BinaryMask, RunLengthMask)):
+        if not isinstance(other, RunLengthMask):
             return NotImplemented
-        return bool(np.array_equal(self.bits, other.bits))
+        same_size = (self.height, self.width) == (other.height, other.width)
+        return same_size and bool(np.array_equal(self.counts, other.counts))
 
 
 @dataclass(frozen=True)
 class MaskRecord:
-    """A mask bound to its source image and optional category label; read from a file, the mask keeps its runs."""
+    """A mask bound to its source image and optional category label."""
 
-    mask: BinaryMask | RunLengthMask
+    mask: RunLengthMask
     image_id: str
     label: str | None = None
 
@@ -194,9 +205,9 @@ def read_pgm(path) -> RasterImage:
 # ---------------------------------------------------------------------------
 
 
-def _rle_runs(rle: dict) -> RunLengthMask:
-    """Check parsed uncompressed RLE (column-major, leading false-run) and
-    keep its runs.
+def mask_from_rle(rle: dict) -> RunLengthMask:
+    """Parsed uncompressed RLE (column-major, leading false-run) as its
+    checked, canonical runs.
 
     ``size`` and ``counts`` must hold integers: no float, string or boolean.
     """
@@ -206,38 +217,13 @@ def _rle_runs(rle: dict) -> RunLengthMask:
         raise ValueError(f"rle parse error: {exc}") from None
     if len(size) != 2 or not all(type(v) is int for v in size + counts):
         raise ValueError("rle parse error: size must be two integers and counts a list of integers")
-    h, w = size
-    if not (h >= 1 and w >= 1 and h * w <= MAX_RLE_PIXELS):
-        raise ValueError(f"rle size error: {h}x{w}, each side must be >= 1 and h*w <= {MAX_RLE_PIXELS}")
-    if any(c < 0 for c in counts):
-        raise ValueError("rle value error: negative count")
-    total = sum(counts)
-    if total != h * w:
-        raise ValueError(f"rle length error: counts sum {total} != {h * w}")
-    runs = np.array(counts, dtype=np.int64)  # each count is at most h*w, so it fits
-    runs.flags.writeable = False
-    mask = RunLengthMask(h, w, runs)
-    if mask.area() == 0:
-        raise ValueError("mask has no true bits")
-    return mask
+    return RunLengthMask(*size, counts)
 
 
-def mask_from_rle(rle: dict) -> BinaryMask:
-    """Decode parsed uncompressed RLE after ``_rle_runs``' checks."""
-    return BinaryMask(_rle_runs(rle).bits)
-
-
-def mask_to_rle(mask: BinaryMask) -> dict:
-    """Encode to uncompressed RLE, ``{"size": [h, w], "counts": [...]}``
-    (round-trips bit-exactly)."""
-    flat = mask.bits.ravel(order="F")
-    # run boundaries; leading false-run is emitted even when zero-length
-    changes = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    bounds = np.concatenate(([0], changes, [flat.size]))
-    counts = np.diff(bounds).tolist()
-    if flat[0]:
-        counts = [0] + counts
-    return {"size": [mask.height, mask.width], "counts": counts}
+def mask_to_rle(mask: RunLengthMask) -> dict:
+    """Encode to uncompressed RLE, ``{"size": [h, w], "counts": [...]}``:
+    the canonical runs, so it round-trips through ``mask_from_rle``."""
+    return {"size": [mask.height, mask.width], "counts": mask.counts.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +272,6 @@ def read_json_lines(path, parse, what: str) -> list:
 def read_records(path) -> list[MaskRecord]:
     return read_json_lines(
         path,
-        lambda obj: MaskRecord(mask=_rle_runs(obj["rle"]), image_id=obj["image_id"], label=obj.get("label")),
+        lambda obj: MaskRecord(mask=mask_from_rle(obj["rle"]), image_id=obj["image_id"], label=obj.get("label")),
         "record",
     )

@@ -1,13 +1,13 @@
 """Mask2Token assembly: geometry + encoder + grid selection per mask.
 
-The per-mask pipeline is: tight bbox -> context crop window (scale >= 1) ->
-downsample the mask to the token grid -> bilinear-crop only the pixels of the
-grid rows and columns that hold an active cell -> project only the active
-cells' patches, in row-major order.  Every token is bit-identical to encoding
-the whole crop and selecting the active cells.  The global image is
-square-stretched through the same bilinear path and encoded whole with the
-same weights, so crop features and global features live in one embedding
-space.
+The per-mask pipeline reads the mask's runs: tight bbox -> context crop
+window (scale >= 1) -> downsample the mask to the token grid -> bilinear-crop
+only the pixels of the grid rows and columns that hold an active cell ->
+project only the active cells' patches, in row-major order.  Every token is
+bit-identical to encoding the whole crop and selecting the active cells.
+The global image is square-stretched through the same bilinear path and
+encoded whole with the same weights, so crop features and global features
+live in one embedding space.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 
 from .attnmask import SequenceLayout, canonical_layout
 from .encoder import EncoderParams, FeatureGrid, GRID_SIDE, encode
-from .maskio import BinaryMask, RasterImage, RunLengthMask, _readonly
-from .region import _check_dims, _resample, context_crop_window, downsample_to_grid, resize_image, tight_bbox, window_axes
+from .maskio import RasterImage, RunLengthMask, _readonly
+from .region import _box, _check_dims, _column_pieces, _grid, _resample, context_crop_window, resize_image, window_axes
 
 MAX_MASKS = 30
 CONTEXT_SCALE = 2.0
@@ -85,7 +85,7 @@ class PromptBatch:
 
 def mask2token(
     image: RasterImage,
-    mask: BinaryMask | RunLengthMask,
+    mask: RunLengthMask,
     params: EncoderParams,
     scale: float = CONTEXT_SCALE,
     mask_index: int = 0,
@@ -95,13 +95,15 @@ def mask2token(
     The tokens are bit-identical to ``encode(extract_and_resize(...))`` at
     the active cells: each resampled pixel has its own taps, and the
     projection keeps ``encode``'s (cells, p*p) @ (p*p, dim) operand shape by
-    repeating the active patches cyclically up to every cell of the grid.
-    The mask must have the image's width and height (``ValueError`` otherwise).
+    placing the active patches first and zero rows after them.  The box and
+    the grid come from the mask's runs, cut once into column pieces; no
+    raster is decoded.  The mask must have the image's width and height
+    (``ValueError`` otherwise).
     """
     _check_dims(image, mask)
-    mask = BinaryMask(mask.bits)  # a run-length mask is decoded once, here
-    window = context_crop_window(tight_bbox(mask), scale, image.width, image.height)
-    gm = downsample_to_grid(mask, window, GRID_SIDE, GRID_SIDE)
+    pieces = _column_pieces(mask)
+    window = context_crop_window(_box(*pieces), scale, image.width, image.height)
+    gm = _grid(pieces, window, GRID_SIDE, GRID_SIDE)
     idx = np.argwhere(gm.active)
     p = params.patch_side
     rows, r = np.unique(idx[:, 0], return_inverse=True)
@@ -109,8 +111,9 @@ def mask2token(
     xs, ys = window_axes(window, p * GRID_SIDE)
     pixels = np.arange(p)
     crop = _resample(image, xs[(cols[:, None] * p + pixels).ravel()], ys[(rows[:, None] * p + pixels).ravel()])
-    patches = (crop.data / 255.0).reshape(len(rows), p, len(cols), p).transpose(0, 2, 1, 3)[r, c]
-    padded = np.resize(patches.reshape(len(idx), p * p), (GRID_SIDE * GRID_SIDE, p * p))
+    patches = crop.data.reshape(len(rows), p, len(cols), p).transpose(0, 2, 1, 3)[r, c]
+    padded = np.zeros((GRID_SIDE * GRID_SIDE, p * p))
+    np.divide(patches.reshape(len(idx), p * p), 255.0, out=padded[: len(idx)])
     tokens = (padded @ params.projection)[: len(idx)]
     return MaskTokenSet(tokens=tokens, grid_indices=idx, mask_index=mask_index)
 
@@ -123,7 +126,7 @@ def encode_global(image: RasterImage, params: EncoderParams) -> FeatureGrid:
 
 def build_prompt_batch(
     image: RasterImage,
-    masks: list[BinaryMask | RunLengthMask],
+    masks: list[RunLengthMask],
     params: EncoderParams,
     scale: float = CONTEXT_SCALE,
 ) -> PromptBatch:

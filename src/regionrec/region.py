@@ -14,8 +14,12 @@ Resizes sample one x per output column and one y per output row, so the
 bilinear pass is separable: taps and fractions are computed once per axis,
 the horizontal blend runs only on the distinct source rows the vertical taps
 read, and the same float operations in the same order as four corner fetches
-keep every output bit-identical to the unseparated form.  Mask scans bound
-the true bits with per-axis ``any`` and list pixels inside that box only.
+keep every output bit-identical to the unseparated form; only the source
+columns the taps read are copied.
+
+Mask geometry reads the runs, never a raster: ``_column_pieces`` cuts each
+true run at column ends, the box is the pieces' extent, and each piece
+marks its grid cells from its two end pixels.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maskio import BinaryMask, RasterImage, _readonly
+from .maskio import RasterImage, RunLengthMask, _readonly
 
 
 @dataclass(frozen=True)
@@ -95,11 +99,35 @@ class GridMask:
 # ---------------------------------------------------------------------------
 
 
-def tight_bbox(mask: BinaryMask) -> BBox:
+def _ragged(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For items of the given lengths laid end to end: each element's item
+    and its offset inside the item."""
+    item = np.repeat(np.arange(len(lengths)), lengths)
+    return item, np.arange(len(item)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _column_pieces(mask: RunLengthMask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mask's true runs cut at column ends, in column-major order: each
+    piece's column ``x`` and its first and last rows ``y0 <= y1``.  A run
+    starts at column ``start // h``, row ``start % h``, and may cross into
+    later columns."""
+    h = mask.height
+    ends = np.cumsum(mask.counts)
+    stop = ends[1::2]  # true runs are [start, stop), none of them empty
+    start = ends[: 2 * len(stop) : 2]
+    first = start // h
+    run, k = _ragged((stop - 1) // h - first + 1)
+    x = first[run] + k
+    return x, np.maximum(start[run] - x * h, 0), np.minimum(stop[run] - x * h, h) - 1
+
+
+def _box(x: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> BBox:
+    return BBox(int(x[0]), int(y0.min()), int(x[-1]) + 1, int(y1.max()) + 1)
+
+
+def tight_bbox(mask: RunLengthMask) -> BBox:
     """Minimal axis-aligned box containing every true bit."""
-    ys = np.flatnonzero(mask.bits.any(axis=1))
-    xs = np.flatnonzero(mask.bits.any(axis=0))
-    return BBox(int(xs[0]), int(ys[0]), int(xs[-1]) + 1, int(ys[-1]) + 1)
+    return _box(*_column_pieces(mask))
 
 
 def context_crop_window(bbox: BBox, scale: float, image_w: int, image_h: int) -> CropWindow:
@@ -139,25 +167,30 @@ def _resample(image: RasterImage, xs: np.ndarray, ys: np.ndarray) -> RasterImage
     x0, x1, dx = _axis_taps(xs, w)
     y0, y1, dy = _axis_taps(ys, h)
 
-    # the distinct source rows the vertical taps read, zero-padded by one
-    # row (index h) and one column (index w)
+    # the distinct source rows the vertical taps read, over the source
+    # columns lo..hi the horizontal taps read, zero-padded by one row
+    # (index h) and one column (the last)
     rows, which = np.unique(np.concatenate([y0, y1]), return_inverse=True)
-    src = np.zeros((len(rows), w + 1))
+    taps = np.concatenate([x0, x1])
+    lo = taps.min()
+    hi = taps[taps < w].max(initial=lo - 1)
+    src = np.zeros((len(rows), hi - lo + 2))
     inside = rows < h
-    src[inside, :w] = image.data[rows[inside]]
+    src[inside, :-1] = image.data[rows[inside], lo : hi + 1]
+    x0, x1 = (np.minimum(t - lo, hi - lo + 1) for t in (x0, x1))  # the pad tap w reads the pad column
 
     # left * (1 - dx) + right * dx, then top * (1 - dy) + bot * dy, computed
     # in place: the same float operations with two temporaries, not five
     wx = dx[None, :]
-    horiz = src[:, x0]
+    horiz = np.take(src, x0, axis=1)
     horiz *= 1.0 - wx
-    right = src[:, x1]
+    right = np.take(src, x1, axis=1)
     right *= wx
     horiz += right
     wy = dy[:, None]
-    out = horiz[which[: len(ys)]]
+    out = np.take(horiz, which[: len(ys)], axis=0)
     out *= 1.0 - wy
-    bot = horiz[which[len(ys) :]]
+    bot = np.take(horiz, which[len(ys) :], axis=0)
     bot *= wy
     out += bot
     out.flags.writeable = False
@@ -192,23 +225,37 @@ def resize_image(image: RasterImage, out_w: int, out_h: int) -> RasterImage:
 # ---------------------------------------------------------------------------
 
 
-def downsample_to_grid(mask: BinaryMask, window: CropWindow, rows: int, cols: int) -> GridMask:
+def _grid(pieces, window: CropWindow, rows: int, cols: int) -> GridMask:
+    """``downsample_to_grid`` of the mask whose ``_column_pieces`` these are."""
+    if rows < 1 or cols < 1:
+        raise ValueError("grid dimensions must be >= 1")
+    x, y0, y1 = pieces
+
+    def cell(v, origin, n):
+        return np.floor((v + 0.5 - origin) * (n / window.side)).astype(np.int64)
+
+    col, top, bot = cell(x, window.x0, cols), cell(y0, window.y0, rows), cell(y1, window.y0, rows)
+    # a pixel's cell is monotone in its coordinate, so the ends bound each piece
+    if not ((col >= 0) & (col < cols) & (top >= 0) & (bot < rows)).all():
+        raise ValueError("crop window does not cover the mask")
+    if window.side > rows:  # a pixel steps less than a cell, so a piece covers every cell top..bot
+        marks = np.bincount(top * cols + col, minlength=(rows + 1) * cols)
+        marks -= np.bincount((bot + 1) * cols + col, minlength=(rows + 1) * cols)
+        active = np.cumsum(marks.reshape(rows + 1, cols)[:rows], axis=0) > 0
+    else:  # the covering window is at most rows pixels a side, so few pixels to expand
+        piece, k = _ragged(y1 - y0 + 1)
+        active = np.zeros((rows, cols), dtype=bool)
+        active[cell(y0[piece] + k, window.y0, rows), col[piece]] = True
+    return GridMask(active)
+
+
+def downsample_to_grid(mask: RunLengthMask, window: CropWindow, rows: int, cols: int) -> GridMask:
     """Mark each grid cell active iff it contains >= 1 true pixel centre.
 
     The window must hold every true pixel centre, as a ``context_crop_window``
     of the mask's box does at any scale; one that does not is rejected.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    box = tight_bbox(mask)
-    ys, xs = np.nonzero(mask.bits[box.y0 : box.y1, box.x0 : box.x1])
-    col = np.floor((xs + box.x0 + 0.5 - window.x0) * (cols / window.side)).astype(np.int64)
-    row = np.floor((ys + box.y0 + 0.5 - window.y0) * (rows / window.side)).astype(np.int64)
-    if not ((col >= 0) & (col < cols) & (row >= 0) & (row < rows)).all():
-        raise ValueError("crop window does not cover the mask")
-    active = np.zeros((rows, cols), dtype=bool)
-    active[row, col] = True
-    return GridMask(active)
+    return _grid(_column_pieces(mask), window, rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +263,7 @@ def downsample_to_grid(mask: BinaryMask, window: CropWindow, rows: int, cols: in
 # ---------------------------------------------------------------------------
 
 
-def _check_dims(image: RasterImage, mask: BinaryMask) -> None:
+def _check_dims(image: RasterImage, mask: RunLengthMask) -> None:
     if (image.width, image.height) != (mask.width, mask.height):
         raise ValueError(
             f"shape error: image {image.width}x{image.height} vs mask {mask.width}x{mask.height}"

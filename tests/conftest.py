@@ -19,7 +19,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from regionrec import decoder
 from regionrec.attnmask import Segment, SequenceLayout
-from regionrec.maskio import BinaryMask, RasterImage
+from regionrec.maskio import RasterImage, RunLengthMask
+from regionrec.region import BBox, GridMask
 
 # kind codes local to the oracle
 O_IMAGE, O_TEXT, O_SEP, O_MASK, O_OUT = range(5)
@@ -83,19 +84,44 @@ def random_layout(rng: np.random.Generator, k_max: int = 8, len_max: int = 6) ->
     return SequenceLayout(tuple(segs))
 
 
-def random_mask(rng: np.random.Generator, w: int, h: int, p: float = 0.2) -> BinaryMask:
+def random_mask(rng: np.random.Generator, w: int, h: int, p: float = 0.2) -> RunLengthMask:
     bits = rng.random((h, w)) < p
     if not bits.any():
         bits[rng.integers(h), rng.integers(w)] = True
-    return BinaryMask(bits)
+    return RunLengthMask.from_bits(bits)
 
 
-def oracle_grid_cells(mask: BinaryMask, window, rows: int, cols: int) -> np.ndarray:
+def raster_tight_bbox(mask: RunLengthMask) -> BBox:
+    """The box of the decoded raster, scanned along both axes."""
+    bits = mask.bits
+    ys = np.flatnonzero(bits.any(axis=1))
+    xs = np.flatnonzero(bits.any(axis=0))
+    return BBox(int(xs[0]), int(ys[0]), int(xs[-1]) + 1, int(ys[-1]) + 1)
+
+
+def raster_downsample_to_grid(mask: RunLengthMask, window, rows: int, cols: int) -> GridMask:
+    """The grid of the decoded raster: each true pixel inside the box marks
+    its cell; a window that misses a true pixel centre is rejected."""
+    if rows < 1 or cols < 1:
+        raise ValueError("grid dimensions must be >= 1")
+    box = raster_tight_bbox(mask)
+    ys, xs = np.nonzero(mask.bits[box.y0 : box.y1, box.x0 : box.x1])
+    col = np.floor((xs + box.x0 + 0.5 - window.x0) * (cols / window.side)).astype(np.int64)
+    row = np.floor((ys + box.y0 + 0.5 - window.y0) * (rows / window.side)).astype(np.int64)
+    if not ((col >= 0) & (col < cols) & (row >= 0) & (row < rows)).all():
+        raise ValueError("crop window does not cover the mask")
+    active = np.zeros((rows, cols), dtype=bool)
+    active[row, col] = True
+    return GridMask(active)
+
+
+def oracle_grid_cells(mask: RunLengthMask, window, rows: int, cols: int) -> np.ndarray:
     """Per-pixel loop: mark the cell containing each true pixel centre."""
     active = np.zeros((rows, cols), dtype=bool)
+    bits = mask.bits
     for y in range(mask.height):
         for x in range(mask.width):
-            if not mask.bits[y, x]:
+            if not bits[y, x]:
                 continue
             cx = (x + 0.5 - window.x0) * cols / window.side
             cy = (y + 0.5 - window.y0) * rows / window.side

@@ -19,7 +19,7 @@ from regionrec import cli, decoder, harness, prompt
 from regionrec.attnmask import canonical_layout
 from regionrec.encoder import EncoderParams
 from regionrec.maskio import (
-    MAX_RLE_PIXELS, BinaryMask, MaskRecord, RasterImage, mask_from_rle, mask_to_rle, write_records,
+    MAX_RLE_PIXELS, MaskRecord, RasterImage, RunLengthMask, mask_from_rle, mask_to_rle, write_records,
 )
 from regionrec.metrics import TrigramHashProvider
 from regionrec.region import resize_image
@@ -45,7 +45,7 @@ def files(tmp_path):
     band = np.zeros((32, 32), bool)
     band[20:26, :] = True
     write_records(
-        [MaskRecord(BinaryMask(square), "img", "cat"), MaskRecord(BinaryMask(band), "img", "dog")],
+        [MaskRecord(RunLengthMask.from_bits(square), "img", "cat"), MaskRecord(RunLengthMask.from_bits(band), "img", "dog")],
         tmp_path / "masks.jsonl",
     )
     preds = [{"image_id": "img", "mask_index": 0, "pred": "cat", "gold": "cat"},
@@ -233,7 +233,7 @@ def _pipeline_files(d):
     def square(side):
         bits = np.zeros((32, 32), bool)
         bits[:side, :side] = True
-        return BinaryMask(bits)
+        return RunLengthMask.from_bits(bits)
 
     records = [MaskRecord(square(8), "a", "cat"), MaskRecord(square(6), "b", "cat"),
                MaskRecord(square(5), "c", "cat"), MaskRecord(square(7), "d", "dog"),
@@ -435,7 +435,7 @@ def test_a_bad_blob_is_reported_before_the_image_is_read(files, capsys):
 def test_capacity_error_names_limit(files, capsys):
     """The mask cap is checked on the records, before any encoding."""
     image, masks = ["--image", str(files / "img.pgm")], ["--masks", str(files / "many.jsonl")]
-    many = [MaskRecord(BinaryMask(np.eye(32, dtype=bool)), "img", None)] * (prompt.MAX_MASKS + 1)
+    many = [MaskRecord(RunLengthMask.from_bits(np.eye(32, dtype=bool)), "img", None)] * (prompt.MAX_MASKS + 1)
     write_records(many, files / "many.jsonl")
     assert run(["tokenize", *image, *masks, "--out-dir", str(files / "tok")]) == 2
     _assert_one_line_input_error(capsys, "capacity error", "31 masks", "max_masks=30")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from regionrec import cli, decoder
-from regionrec.maskio import BinaryMask, RasterImage, mask_to_rle
+from regionrec.maskio import RasterImage, RunLengthMask, mask_to_rle
 
 from conftest import save_decoder_params, write_pgm
 
@@ -57,8 +57,8 @@ def seeds(tmp_path_factory):
     square, bar = np.zeros((8, 8), bool), np.zeros((8, 8), bool)
     square[2:5, 1:4] = True
     bar[6, :] = True
-    records = [{"image_id": "img", "label": "cat", "rle": mask_to_rle(BinaryMask(square))},
-               {"image_id": "img", "label": None, "rle": mask_to_rle(BinaryMask(bar))}]
+    records = [{"image_id": "img", "label": "cat", "rle": mask_to_rle(RunLengthMask.from_bits(square))},
+               {"image_id": "img", "label": None, "rle": mask_to_rle(RunLengthMask.from_bits(bar))}]
     (d / "masks.jsonl").write_bytes(_lines(records))
     (d / "one.jsonl").write_bytes(_lines(records[:1]))
     params = decoder.DecoderParams.seeded(0, decoder.make_vocab(["cat"]), dim=8, layers=1, enc_dim=1, max_len=300)

@@ -17,7 +17,7 @@ from regionrec.harness import (
     run_scaling_bench,
     synthesize_mask_corpus,
 )
-from regionrec.maskio import MAX_RLE_PIXELS, BinaryMask, MaskRecord, read_records
+from regionrec.maskio import MAX_RLE_PIXELS, MaskRecord, RunLengthMask, read_records
 
 from conftest import save_decoder_params
 
@@ -71,7 +71,7 @@ def test_scaling_bench_rejects_bad_k_values(k_values):
 def _record(n_true: int, image_id: str = "img", label: str | None = "cat", side: int = 10) -> MaskRecord:
     bits = np.zeros(side * side, dtype=bool)
     bits[:n_true] = True
-    return MaskRecord(mask=BinaryMask(bits.reshape(side, side)), image_id=image_id, label=label)
+    return MaskRecord(mask=RunLengthMask.from_bits(bits.reshape(side, side)), image_id=image_id, label=label)
 
 
 def _stage1(records, min_ratio):

@@ -9,7 +9,6 @@ from regionrec.decoder import TokenSequence
 from regionrec.encoder import EncoderParams, FeatureGrid
 from regionrec.maskio import (
     MAX_RLE_PIXELS,
-    BinaryMask,
     MaskRecord,
     RasterImage,
     RunLengthMask,
@@ -151,7 +150,60 @@ def test_rle_round_trip_fuzz(rng):
 
 def test_empty_mask_rejected():
     with pytest.raises(ValueError, match="true bits"):
-        BinaryMask(np.zeros((3, 3), dtype=bool))
+        RunLengthMask.from_bits(np.zeros((3, 3), dtype=bool))
+
+
+@pytest.mark.parametrize(
+    "size, counts, message",
+    [((0, 3), [], f"rle size error: 0x3, each side must be >= 1 and h*w <= {MAX_RLE_PIXELS}"),
+     ((1, MAX_RLE_PIXELS + 1), [MAX_RLE_PIXELS, 1],
+      f"rle size error: 1x{MAX_RLE_PIXELS + 1}, each side must be >= 1 and h*w <= {MAX_RLE_PIXELS}"),
+     ((2, 2), [5, -1], "rle value error: negative count"),
+     ((2, 2), [-2**70, 2**70 + 4], "rle value error: negative count"),
+     ((2, 2), [1, 2], "rle length error: counts sum 3 != 4"),
+     ((2, 2), [], "rle length error: counts sum 0 != 4"),
+     ((2, 2), [1, 2**70], f"rle length error: counts sum {2**70 + 1} != 4"),
+     ((2, 2), [4], "mask has no true bits"),
+     ((2, 2), [1, 0, 3, 0], "mask has no true bits")],
+    ids=["empty-side", "over-cap", "negative", "negative-past-int64", "sum", "no-counts", "sum-past-int64", "one-false-run",
+         "zero-true-runs"],
+)
+def test_run_construction_checks_keep_their_messages(size, counts, message):
+    with pytest.raises(ValueError) as exc:
+        RunLengthMask(*size, counts)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        mask_from_rle({"size": list(size), "counts": counts})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "bits, message",
+    [(np.ones((2, 2, 1), bool), "mask bits must be a 2-D array, got shape (2, 2, 1)"),
+     (np.zeros((0, 3), bool), f"rle size error: 0x3, each side must be >= 1 and h*w <= {MAX_RLE_PIXELS}"),
+     (np.zeros((3, 3), bool), "mask has no true bits")],
+    ids=["3d", "empty", "no-true-bit"],
+)
+def test_a_raster_becomes_runs_under_the_same_checks(bits, message):
+    with pytest.raises(ValueError) as exc:
+        RunLengthMask.from_bits(bits)
+    assert str(exc.value) == message
+
+
+def test_runs_are_canonical_so_equality_decodes_nothing(monkeypatch):
+    def no_decode(mask):
+        raise AssertionError("__eq__ decoded a raster")
+
+    monkeypatch.setattr(RunLengthMask, "bits", property(no_decode))
+    canonical = RunLengthMask(3, 4, [0, 5, 7])
+    for counts in ([0, 5, 0, 0, 7], [0, 2, 0, 3, 7, 0], [0, 1, 0, 1, 0, 3, 0, 0, 7, 0, 0]):
+        mask = RunLengthMask(3, 4, counts)
+        assert mask.counts.tolist() == [0, 5, 7] and mask == canonical and not mask.counts.flags.writeable
+    assert RunLengthMask(3, 4, [2, 0, 3, 4, 3, 0]).counts.tolist() == [5, 4, 3]
+    assert RunLengthMask(3, 4, [0, 0, 5, 7]).counts.tolist() == [5, 7]
+    assert RunLengthMask(3, 4, [5, 7]) != canonical
+    assert RunLengthMask(2, 6, [0, 5, 7]) != canonical  # the same runs on another raster
+    assert RunLengthMask(3, 4, [0, 5, 7]).__eq__(canonical.counts) is NotImplemented
 
 
 def test_rle_size_up_to_the_pixel_cap_is_accepted():
@@ -164,7 +216,8 @@ def test_rle_size_up_to_the_pixel_cap_is_accepted():
 @pytest.mark.parametrize(
     "build, arr",
     [(RasterImage, np.ones((2, 2, 1))), (RasterImage, np.ones(4)), (RasterImage, np.ones((0, 3))),
-     (BinaryMask, np.ones((2, 2, 1), bool)), (BinaryMask, np.ones(4, bool)), (BinaryMask, np.ones((0, 3), bool)),
+     (RunLengthMask.from_bits, np.ones((2, 2, 1), bool)), (RunLengthMask.from_bits, np.ones(4, bool)),
+     (RunLengthMask.from_bits, np.ones((0, 3), bool)),
      (FeatureGrid, np.ones((2, 2))), (FeatureGrid, np.ones((2, 2, 2, 1))), (FeatureGrid, np.ones((2, 2, 0))),
      (GridMask, np.ones((2, 2, 1), bool)), (GridMask, np.ones(4, bool)), (GridMask, np.ones((3, 0), bool))],
     ids=["image-3d", "image-1d", "image-empty", "mask-3d", "mask-1d", "mask-empty",
@@ -178,7 +231,7 @@ def test_an_array_of_the_wrong_rank_or_empty_is_rejected(build, arr):
 
 @pytest.mark.parametrize(
     "build, name, arr",
-    [(RasterImage, "data", np.ones((4, 4))), (BinaryMask, "bits", np.ones((4, 4), bool)),
+    [(RasterImage, "data", np.ones((4, 4))), (lambda a: RunLengthMask(4, 4, a), "counts", np.array([3, 13])),
      (FeatureGrid, "values", np.ones((2, 2, 3))), (GridMask, "active", np.ones((4, 4), bool)),
      (lambda a: EncoderParams(2, a), "projection", np.ones((4, 3))),
      (lambda a: MaskTokenSet(a, np.array([[0, 0], [0, 1]])), "tokens", np.ones((2, 3))),
@@ -200,7 +253,7 @@ def test_a_read_only_array_is_frozen_without_a_copy():
     assert RasterImage(arr).data is arr
 
 
-@pytest.mark.parametrize("build, name, dtype", [(RasterImage, "data", float), (BinaryMask, "bits", bool)],
+@pytest.mark.parametrize("build, name, dtype", [(RasterImage, "data", float), (RunLengthMask.from_bits, "bits", bool)],
                          ids=["image", "mask"])
 def test_a_read_only_view_of_a_writable_array_is_copied(build, name, dtype):
     arr = np.ones((4, 4), dtype)
@@ -222,8 +275,7 @@ def test_the_loaders_arrays_are_frozen_without_a_copy(tmp_path, monkeypatch):
     write_pgm(RasterImage(np.arange(12.0).reshape(3, 4)), tmp_path / "img.pgm")
     seen = _spy(monkeypatch, maskio, RasterImage)
     assert read_pgm(tmp_path / "img.pgm").data is seen[0]
-    seen = _spy(monkeypatch, maskio, BinaryMask)
-    assert mask_from_rle({"size": [3, 4], "counts": [5, 7]}).bits is seen[0]
+    assert not mask_from_rle({"size": [3, 4], "counts": [5, 7]}).counts.flags.writeable
     seen = _spy(monkeypatch, region, RasterImage)
     assert region.resize_image(RasterImage(np.ones((4, 4))), 3, 5).data is seen[0]
 
@@ -274,11 +326,13 @@ def test_a_record_keeps_its_runs_and_decodes_them_as_mask_from_rle(tmp_path, rng
     path.write_text("".join(json.dumps({"image_id": "im", "rle": rle}) + "\n" for rle in rles))
     records = read_records(path)
     for rle, record in zip(rles, records, strict=True):
+        h, w = rle["size"]
+        raster = np.repeat(np.arange(len(rle["counts"])) % 2 == 1, rle["counts"]).reshape((h, w), order="F")
         mask, decoded = record.mask, mask_from_rle(rle)
-        assert isinstance(mask, RunLengthMask) and np.array_equal(mask.counts, rle["counts"])
-        assert (mask.height, mask.width, mask.area()) == (decoded.height, decoded.width, decoded.area())
-        assert np.array_equal(mask.bits, decoded.bits) and mask == decoded and decoded == mask
-        assert mask_to_rle(mask) == mask_to_rle(decoded)
+        assert isinstance(mask, RunLengthMask) and mask == decoded == RunLengthMask.from_bits(raster)
+        assert (mask.height, mask.width, mask.area()) == (h, w, int(raster.sum()))
+        assert np.array_equal(mask.bits, raster)
+        assert (mask.counts[1:] > 0).all() and mask_to_rle(mask)["counts"] == mask.counts.tolist()
         assert not mask.counts.flags.writeable and not mask.bits.flags.writeable
         assert set(vars(mask)) == {"height", "width", "counts"}  # no raster is kept
     kinds = [rle["counts"] for rle in rles]

@@ -8,11 +8,11 @@ from regionrec.attnmask import canonical_layout
 from regionrec.decoder import DecoderParams, assemble_sequence, make_vocab, prompt_sequence
 from regionrec.encoder import GRID_SIDE, EncoderParams, encode
 from regionrec.harness import synthesize_mask_corpus
-from regionrec.maskio import BinaryMask, RasterImage, RunLengthMask, mask_to_rle
+from regionrec.maskio import RasterImage, RunLengthMask
 from regionrec.prompt import CONTEXT_SCALE, MaskTokenSet, build_prompt_batch, dump_token_set, mask2token
 from regionrec.region import context_crop_window, downsample_to_grid, extract_and_resize, tight_bbox
 
-from conftest import oracle_grid_cells, random_mask, write_pgm
+from conftest import oracle_grid_cells, random_mask, raster_downsample_to_grid, raster_tight_bbox, write_pgm
 
 # small encoder so 448-sized crops are not needed: patch 4 * grid 16 = 64
 ENC = EncoderParams.seeded(7, patch_side=4, dim=8)
@@ -24,7 +24,7 @@ def _image(rng, side=64):
 
 def test_full_window_mask_gives_256_tokens(rng):
     img = _image(rng)
-    mask = BinaryMask(np.ones((64, 64), bool))
+    mask = RunLengthMask.from_bits(np.ones((64, 64), bool))
     ts = mask2token(img, mask, ENC, scale=1.0)
     assert ts.count == 256
 
@@ -33,7 +33,7 @@ def test_point_mask_gives_one_token(rng):
     img = _image(rng)
     bits = np.zeros((64, 64), bool)
     bits[20, 41] = True
-    ts = mask2token(img, BinaryMask(bits), ENC)
+    ts = mask2token(img, RunLengthMask.from_bits(bits), ENC)
     assert ts.count == 1
 
 
@@ -78,31 +78,39 @@ def _oracle_cases():
         bits = np.zeros((h, w), bool)
         bits[ys, xs] = rng.random((h, w))[ys, xs] < 0.4
         bits[ys.start, xs.start] = True
-        cases.append((img, BinaryMask(bits), CONTEXT_SCALE))
+        cases.append((img, RunLengthMask.from_bits(bits), CONTEXT_SCALE))
     one = np.zeros((h, w), bool)
     one[17, 33] = True
-    cases.append((img, BinaryMask(one), CONTEXT_SCALE))
+    cases.append((img, RunLengthMask.from_bits(one), CONTEXT_SCALE))
     full = np.zeros((h, w), bool)
     full[:, 8:56] = True  # a 48x48 square: at scale 1 every cell holds pixel centres
-    cases.append((img, BinaryMask(full), 1.0))
+    cases.append((img, RunLengthMask.from_bits(full), 1.0))
     corpus_img, corpus = synthesize_mask_corpus(30)
     cases.extend((corpus_img, m, CONTEXT_SCALE) for m in corpus)
     return cases
 
 
+def _raster_tokens(img, mask, enc, scale):
+    """Tokens and grid indices from the raster oracles' box and grid, the
+    whole window cropped and encoded, and the active cells selected."""
+    win = context_crop_window(raster_tight_bbox(mask), scale, img.width, img.height)
+    feats = encode(extract_and_resize(img, win, enc.patch_side * GRID_SIDE), enc)
+    gm = raster_downsample_to_grid(mask, win, GRID_SIDE, GRID_SIDE)
+    return feats.values[gm.active], np.argwhere(gm.active)
+
+
 @pytest.mark.parametrize("patch_side, dim", [(4, 1), (4, 6), (4, 8), (28, 1), (28, 6), (28, 8), (28, 16)])
 def test_cells_path_equals_the_full_crop_and_encode(patch_side, dim):
-    """mask2token computes only the active cells; the oracle crops the whole
-    window, encodes every cell and selects the active ones."""
+    """mask2token computes only the active cells from the runs; the oracle
+    scans the raster, crops the whole window, encodes every cell and
+    selects the active ones."""
     enc = EncoderParams.seeded(0, patch_side=patch_side, dim=dim)
     counts = set()
     for img, mask, scale in _oracle_cases():
         ts = mask2token(img, mask, enc, scale=scale)
-        win = context_crop_window(tight_bbox(mask), scale, img.width, img.height)
-        feats = encode(extract_and_resize(img, win, patch_side * GRID_SIDE), enc)
-        gm = downsample_to_grid(mask, win, GRID_SIDE, GRID_SIDE)
-        assert np.array_equal(ts.tokens, feats.values[gm.active])
-        assert np.array_equal(ts.grid_indices, np.argwhere(gm.active))
+        tokens, grid_indices = _raster_tokens(img, mask, enc, scale)
+        assert np.array_equal(ts.tokens, tokens)
+        assert np.array_equal(ts.grid_indices, grid_indices)
         counts.add(ts.count)
     assert {1, 256} <= counts
 
@@ -136,25 +144,24 @@ def test_each_batch_set_equals_mask2token_alone(rng):
 
 
 def test_a_run_length_mask_is_decoded_once_and_tokenized_as_its_raster(rng, monkeypatch):
+    """Mask2Token reads the runs and decodes no raster; its tokens are the
+    raster oracles'."""
     img = _image(rng)
     masks = [random_mask(rng, 64, 64, p=float(rng.random() * 0.2 + 0.01)) for _ in range(3)]
-    runs = [RunLengthMask(64, 64, np.array(mask_to_rle(m)["counts"])) for m in masks]
+    want = [_raster_tokens(img, m, ENC, CONTEXT_SCALE) for m in masks]
     decode, reads = RunLengthMask.bits.fget, []
     monkeypatch.setattr(RunLengthMask, "bits", property(lambda m: reads.append(id(m)) or decode(m)))
-    batch = build_prompt_batch(img, runs, ENC)
-    assert reads == [id(run) for run in runs]
-    for i, (mask, run) in enumerate(zip(masks, runs)):
+    batch = build_prompt_batch(img, masks, ENC)
+    for i, (mask, (tokens, grid_indices)) in enumerate(zip(masks, want)):
         alone = mask2token(img, mask, ENC, mask_index=i)
-        assert np.array_equal(batch.mask_token_sets[i].tokens, alone.tokens)
-        assert np.array_equal(batch.mask_token_sets[i].grid_indices, alone.grid_indices)
-        reads.clear()
-        assert np.array_equal(mask2token(img, run, ENC, mask_index=i).tokens, alone.tokens)
-        assert reads == [id(run)]
+        for ts in (batch.mask_token_sets[i], alone):
+            assert np.array_equal(ts.tokens, tokens) and np.array_equal(ts.grid_indices, grid_indices)
+    assert reads == []
 
 
 def test_mask_of_another_size_is_rejected(rng):
     img = _image(rng)
-    wrong = BinaryMask(np.ones((10, 200), bool))
+    wrong = RunLengthMask.from_bits(np.ones((10, 200), bool))
     with pytest.raises(ValueError, match="shape"):
         mask2token(img, wrong, ENC)
     with pytest.raises(ValueError, match="shape"):
@@ -166,8 +173,8 @@ def test_cli_tokenize_exits_2_on_mask_of_another_size(tmp_path, capsys):
     from regionrec.maskio import MaskRecord, write_records
 
     write_pgm(RasterImage(np.zeros((64, 64))), tmp_path / "img.pgm")
-    ok = MaskRecord(BinaryMask(np.ones((64, 64), bool)), "img")
-    wrong = MaskRecord(BinaryMask(np.ones((10, 200), bool)), "img")
+    ok = MaskRecord(RunLengthMask.from_bits(np.ones((64, 64), bool)), "img")
+    wrong = MaskRecord(RunLengthMask.from_bits(np.ones((10, 200), bool)), "img")
     argv = ["tokenize", "--image", str(tmp_path / "img.pgm"), "--out-dir", str(tmp_path / "out")]
 
     write_records([ok], tmp_path / "ok.jsonl")

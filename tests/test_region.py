@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from regionrec.maskio import BinaryMask, RasterImage
+from regionrec.maskio import RasterImage, RunLengthMask
 from regionrec.region import (
     BBox,
     CropWindow,
@@ -14,7 +14,7 @@ from regionrec.region import (
     tight_bbox,
 )
 
-from conftest import oracle_bilinear, oracle_grid_cells, random_mask
+from conftest import oracle_bilinear, oracle_grid_cells, random_mask, raster_downsample_to_grid, raster_tight_bbox
 
 
 # -- reference oracles: the unseparated four-fetch resampler and full-raster
@@ -105,7 +105,7 @@ def _mask_from_points(points, w, h):
     bits = np.zeros((h, w), dtype=bool)
     for x, y in points:
         bits[y, x] = True
-    return BinaryMask(bits)
+    return RunLengthMask.from_bits(bits)
 
 
 # -- tight_bbox -------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_bbox_point_mask():
 
 
 def test_bbox_full_mask():
-    assert tight_bbox(BinaryMask(np.ones((10, 10), bool))) == BBox(0, 0, 10, 10)
+    assert tight_bbox(RunLengthMask.from_bits(np.ones((10, 10), bool))) == BBox(0, 0, 10, 10)
 
 
 def test_bbox_scans_all_true_bits():
@@ -251,7 +251,7 @@ def _window_for(mask, scale=1.0):
 
 
 def test_grid_full_mask_all_cells_active():
-    mask = BinaryMask(np.ones((64, 64), bool))
+    mask = RunLengthMask.from_bits(np.ones((64, 64), bool))
     gm = downsample_to_grid(mask, _window_for(mask), 16, 16)
     assert int(gm.active.sum()) == 256
 
@@ -300,7 +300,7 @@ def test_grid_monotone_under_union(rng):
     for _ in range(20):
         m1 = random_mask(rng, 32, 32, p=0.05)
         m2 = random_mask(rng, 32, 32, p=0.05)
-        union = BinaryMask(m1.bits | m2.bits)
+        union = RunLengthMask.from_bits(m1.bits | m2.bits)
         win = CropWindow(center_x=16.0, center_y=16.0, side=32)
         g1 = downsample_to_grid(m1, win, 16, 16)
         gu = downsample_to_grid(union, win, 16, 16)
@@ -316,3 +316,99 @@ def test_grid_rejects_a_window_that_does_not_cover_the_mask(window):
     mask = _mask_from_points([(10, 10), (60, 60)], 64, 64)
     with pytest.raises(ValueError, match="crop window does not cover the mask"):
         downsample_to_grid(mask, window, 16, 16)
+
+
+# -- box and grid from runs against the raster oracles -------------------------
+
+
+def _random_runs(rng, h, w):
+    """Counts of an h x w raster: runs of random lengths, some crossing one
+    column and some several, with zero-length runs inserted at random."""
+    counts, left = [], h * w
+    while left:
+        n = min(left, int(rng.choice([rng.integers(1, 4), rng.integers(1, h + 1), rng.integers(h, 3 * h + 1)])))
+        counts.append(n)
+        left -= n
+    for _ in range(int(rng.integers(0, 3))):
+        counts.insert(int(rng.integers(1, len(counts) + 1)), 0)
+    return counts
+
+
+def _run_cases(rng):
+    """(mask, counts) pairs: random run lists, one-pixel masks anywhere,
+    masks in boxes of 7-9 and 15-17 pixels a side, and masks on each image
+    border."""
+    cases = []
+    while len(cases) < 300:
+        h, w = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        counts = _random_runs(rng, h, w)
+        if any(counts[1::2]):
+            cases.append((RunLengthMask(h, w, counts), counts))
+    for h, w in [(1, 1), (1, 9), (9, 1), (23, 31)]:
+        for x, y in [(0, 0), (w - 1, h - 1), (w // 2, h // 2), (w - 1, 0), (0, h - 1)]:
+            counts = [x * h + y, 1, h * w - x * h - y - 1]
+            cases.append((RunLengthMask(h, w, counts), counts))
+    for side in (7, 8, 9, 15, 16, 17):  # context windows of side 14-18 at scale 2, 15-17 at scale 1
+        bits = np.zeros((40, 40), bool)
+        y, x = rng.integers(0, 40 - side, 2)
+        bits[y : y + side, x : x + side] = rng.random((side, side)) < 0.3
+        bits[y, x] = bits[y + side - 1, x + side - 1] = True
+        cases.append((RunLengthMask.from_bits(bits), RunLengthMask.from_bits(bits).counts.tolist()))
+    h, w = 37, 29
+    for edge in [np.s_[0, :], np.s_[h - 1, :], np.s_[:, 0], np.s_[:, w - 1]]:
+        bits = np.zeros((h, w), bool)
+        bits[edge] = rng.random(bits[edge].shape) < 0.5
+        bits[edge][0] = True
+        cases.append((RunLengthMask.from_bits(bits), RunLengthMask.from_bits(bits).counts.tolist()))
+    return cases
+
+
+def test_box_and_grid_from_runs_equal_the_raster_oracles(rng):
+    """Windows of side 15, 16 and 17 meet both grid paths at the edge: a
+    side at most the grid side expands pixels, a larger one marks each
+    column piece's cell range.  Context windows at scale 1 and 2 meet
+    them, and so do windows of those sides on boxes of any size."""
+    sides, crossed = set(), {"one": 0, "several": 0, "zero-run": 0}
+    for mask, counts in _run_cases(rng):
+        h = mask.height
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        crossed["one"] += any((e - 1) // h == s // h + 1 for s, e in zip(starts[1::2], ends[1::2]))
+        crossed["several"] += any((e - 1) // h > s // h + 1 for s, e in zip(starts[1::2], ends[1::2]))
+        crossed["zero-run"] += 0 in counts[1:]
+        box = tight_bbox(mask)
+        assert box == raster_tight_bbox(mask)
+        for scale in (1.0, 2.0):
+            win = context_crop_window(box, scale, mask.width, mask.height)
+            sides.add((scale, win.side))
+            got = downsample_to_grid(mask, win, 16, 16)
+            assert np.array_equal(got.active, raster_downsample_to_grid(mask, win, 16, 16).active)
+        for side in (15, 16, 17):
+            win = CropWindow(center_x=box.center[0], center_y=box.center[1], side=side)
+            try:
+                want = raster_downsample_to_grid(mask, win, 16, 16).active
+            except ValueError:
+                with pytest.raises(ValueError, match="crop window does not cover the mask"):
+                    downsample_to_grid(mask, win, 16, 16)
+                continue
+            sides.add((None, side))
+            assert np.array_equal(downsample_to_grid(mask, win, 16, 16).active, want)
+    met = {(1.0, 15), (1.0, 16), (1.0, 17), (2.0, 14), (2.0, 16), (2.0, 18), (None, 15), (None, 16), (None, 17)}
+    assert met <= sides and min(crossed.values()) > 0, (sides, crossed)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [CropWindow(center_x=5.0, center_y=5.0, side=8), CropWindow(center_x=10.0, center_y=10.0, side=8),
+     CropWindow(center_x=35.5, center_y=35.5, side=70)],
+    ids=["misses-fully", "misses-partly", "covers"],
+)
+def test_the_cover_check_on_runs_is_the_raster_oracles(window):
+    mask = _mask_from_points([(10, 10), (60, 60)], 64, 64)
+    try:
+        want = raster_downsample_to_grid(mask, window, 16, 16).active
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            downsample_to_grid(mask, window, 16, 16)
+    else:
+        assert np.array_equal(downsample_to_grid(mask, window, 16, 16).active, want)
