@@ -45,7 +45,8 @@ def files(tmp_path):
     band = np.zeros((32, 32), bool)
     band[20:26, :] = True
     write_records(
-        [MaskRecord(RunLengthMask.from_bits(square), "img", "cat"), MaskRecord(RunLengthMask.from_bits(band), "img", "dog")],
+        [MaskRecord(RunLengthMask.from_bits(square), "img", "cat"),
+         MaskRecord(RunLengthMask.from_bits(band), "img", "dog")],
         tmp_path / "masks.jsonl",
     )
     preds = [{"image_id": "img", "mask_index": 0, "pred": "cat", "gold": "cat"},

@@ -165,8 +165,8 @@ def test_empty_mask_rejected():
      ((2, 2), [1, 2**70], f"rle length error: counts sum {2**70 + 1} != 4"),
      ((2, 2), [4], "mask has no true bits"),
      ((2, 2), [1, 0, 3, 0], "mask has no true bits")],
-    ids=["empty-side", "over-cap", "negative", "negative-past-int64", "sum", "no-counts", "sum-past-int64", "one-false-run",
-         "zero-true-runs"],
+    ids=["empty-side", "over-cap", "negative", "negative-past-int64", "sum", "no-counts", "sum-past-int64",
+         "one-false-run", "zero-true-runs"],
 )
 def test_run_construction_checks_keep_their_messages(size, counts, message):
     with pytest.raises(ValueError) as exc:
