@@ -83,13 +83,15 @@ class RunLengthMask:
         h, w = self.height, self.width
         if not (h >= 1 and w >= 1 and h * w <= MAX_RLE_PIXELS):
             raise ValueError(f"rle size error: {h}x{w}, each side must be >= 1 and h*w <= {MAX_RLE_PIXELS}")
-        runs = np.asarray(self.counts)  # a Python int past int64 stays an exact object until checked
-        if (runs < 0).any():
+        # checked as Python ints: numpy reads counts past int64 as float or
+        # uint64, and an int64 or uint64 sum of large counts can wrap to h*w
+        counts = self.counts.tolist() if isinstance(self.counts, np.ndarray) else list(self.counts)
+        if any(c < 0 for c in counts):
             raise ValueError("rle value error: negative count")
-        total = int(runs.sum())  # an empty list reads as float
+        total = sum(counts)
         if total != h * w:
             raise ValueError(f"rle length error: counts sum {total} != {h * w}")
-        runs = runs.astype(np.int64)  # each count is at most h*w, so it fits
+        runs = np.array(counts, dtype=np.int64)  # each count is at most h*w, so it fits
         if not runs[1::2].any():
             raise ValueError("mask has no true bits")
         if not runs[1:].all():  # drop the zero-length runs after the first and merge equal neighbours

@@ -21,7 +21,7 @@ import numpy as np
 from .attnmask import SequenceLayout, canonical_layout
 from .encoder import EncoderParams, FeatureGrid, GRID_SIDE, encode
 from .maskio import RasterImage, RunLengthMask, _readonly
-from .region import _box, _check_dims, _column_pieces, _grid, _resample, context_crop_window, resize_image, window_axes
+from .region import _check_dims, _resample, crop_window_and_grid, resize_image, window_axes
 
 MAX_MASKS = 30
 CONTEXT_SCALE = 2.0
@@ -101,9 +101,7 @@ def mask2token(
     (``ValueError`` otherwise).
     """
     _check_dims(image, mask)
-    pieces = _column_pieces(mask)
-    window = context_crop_window(_box(*pieces), scale, image.width, image.height)
-    gm = _grid(pieces, window, GRID_SIDE, GRID_SIDE)
+    window, gm = crop_window_and_grid(mask, scale, GRID_SIDE, GRID_SIDE)
     idx = np.argwhere(gm.active)
     p = params.patch_side
     rows, r = np.unique(idx[:, 0], return_inverse=True)

@@ -258,6 +258,15 @@ def downsample_to_grid(mask: RunLengthMask, window: CropWindow, rows: int, cols:
     return _grid(_column_pieces(mask), window, rows, cols)
 
 
+def crop_window_and_grid(mask: RunLengthMask, scale: float, rows: int, cols: int) -> tuple[CropWindow, GridMask]:
+    """``context_crop_window`` of the mask's ``tight_bbox`` and
+    ``downsample_to_grid`` of the mask in that window, from one cut of the
+    runs into column pieces."""
+    pieces = _column_pieces(mask)
+    window = context_crop_window(_box(*pieces), scale, mask.width, mask.height)
+    return window, _grid(pieces, window, rows, cols)
+
+
 # ---------------------------------------------------------------------------
 # Input checks
 # ---------------------------------------------------------------------------

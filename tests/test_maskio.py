@@ -163,10 +163,12 @@ def test_empty_mask_rejected():
      ((2, 2), [1, 2], "rle length error: counts sum 3 != 4"),
      ((2, 2), [], "rle length error: counts sum 0 != 4"),
      ((2, 2), [1, 2**70], f"rle length error: counts sum {2**70 + 1} != 4"),
+     ((2, 5), [2**63 - 1, 2**63 - 1, 12], f"rle length error: counts sum {2**64 + 10} != 10"),
+     ((2, 5), [2**63, 2**63, 10], f"rle length error: counts sum {2**64 + 10} != 10"),
      ((2, 2), [4], "mask has no true bits"),
      ((2, 2), [1, 0, 3, 0], "mask has no true bits")],
     ids=["empty-side", "over-cap", "negative", "negative-past-int64", "sum", "no-counts", "sum-past-int64",
-         "one-false-run", "zero-true-runs"],
+         "int64-sum-wraps", "uint64-sum-wraps", "one-false-run", "zero-true-runs"],
 )
 def test_run_construction_checks_keep_their_messages(size, counts, message):
     with pytest.raises(ValueError) as exc:
@@ -253,15 +255,16 @@ def test_a_read_only_array_is_frozen_without_a_copy():
     assert RasterImage(arr).data is arr
 
 
-@pytest.mark.parametrize("build, name, dtype", [(RasterImage, "data", float), (RunLengthMask.from_bits, "bits", bool)],
+@pytest.mark.parametrize("build, name, values", [(RasterImage, "data", np.ones((4, 4))),
+                                                  (lambda counts: RunLengthMask(4, 4, counts), "counts", [0, 16])],
                          ids=["image", "mask"])
-def test_a_read_only_view_of_a_writable_array_is_copied(build, name, dtype):
-    arr = np.ones((4, 4), dtype)
+def test_a_read_only_view_of_a_writable_array_is_copied(build, name, values):
+    arr = np.array(values)
     view = arr.view()
     view.flags.writeable = False
     frozen = getattr(build(view), name)
-    arr[0, 0] = 0
-    assert frozen[0, 0] == 1 and not np.shares_memory(frozen, arr)
+    arr.flat[-1] -= 1
+    assert np.array_equal(frozen, values) and not np.shares_memory(frozen, arr)
 
 
 def _spy(monkeypatch, module, cls):
