@@ -211,13 +211,19 @@ def extract_and_resize(image: RasterImage, window: CropWindow, out_side: int) ->
     return _resample(image, *window_axes(window, out_side))
 
 
-def resize_image(image: RasterImage, out_w: int, out_h: int) -> RasterImage:
-    """Square-stretch resize of the full image (no aspect preservation)."""
+def stretch_axes(image: RasterImage, out_w: int, out_h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x of each output column and the y of each output row when the
+    whole image is stretched to out_w x out_h."""
     if out_w < 1 or out_h < 1:
         raise ValueError(f"output size must be >= 1, got {out_w}x{out_h}")
     xs = (np.arange(out_w) + 0.5) * (image.width / out_w) - 0.5
     ys = (np.arange(out_h) + 0.5) * (image.height / out_h) - 0.5
-    return _resample(image, xs, ys)
+    return xs, ys
+
+
+def resize_image(image: RasterImage, out_w: int, out_h: int) -> RasterImage:
+    """Square-stretch resize of the full image (no aspect preservation)."""
+    return _resample(image, *stretch_axes(image, out_w, out_h))
 
 
 # ---------------------------------------------------------------------------

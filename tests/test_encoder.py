@@ -89,9 +89,11 @@ def test_seeded_projection_is_float32_representable():
 @pytest.mark.parametrize("fan_in", [16, 784])
 @pytest.mark.parametrize("width", [1, 6, 8, 16, 17, 64])
 def test_cyclic_padding_keeps_rows_of_the_full_grid_product(fan_in, width):
-    """The identity Mask2Token's projection rests on: any sorted subset of
-    the grid's 256 patch rows, repeated cyclically back up to 256 rows and
-    projected, gives exactly those rows of the full product."""
+    """A BLAS fact about the encoder projection's 256-row products: any
+    sorted subset of the grid's 256 patch rows, repeated cyclically back up
+    to 256 rows and projected, gives exactly those rows of the full product.
+    Mask2Token pads with zero rows instead (the tests below); this records
+    that the cyclic pad is bit-equal too."""
     rng = np.random.default_rng(fan_in * 100 + width)
     x = rng.integers(0, 256, (256, fan_in)) / 255.0
     w = rng.uniform(-1, 1, (fan_in, width)).astype(np.float32).astype(np.float64)
@@ -124,4 +126,31 @@ def test_zero_padding_keeps_rows_of_the_full_grid_product(patch_side):
                 f"patch side {patch_side}, width {width}, {m} kept rows: a row of the zero-padded 256-row "
                 "product is not bit-equal to that row of the full product, so this BLAS's result for a row "
                 "now depends on the other rows, and Mask2Token's zero-row pad no longer gives encode's tokens"
+            )
+
+
+@pytest.mark.parametrize("patch_side", [4, 28])
+def test_rows_keep_their_bits_at_every_offset_of_a_grid_run(patch_side):
+    """The identity the prompt batch's shared runs rest on: a block of rows
+    at any offset of a 256-row operand, with other rows before it and zero
+    rows after, is projected to exactly the bits it gets placed first in a
+    zero-padded 256-row product.  Every width 1-64 is tried, each with its
+    own block size, and each width's placements cover every offset 0-255."""
+    fan_in = patch_side * patch_side
+    rng = np.random.default_rng(fan_in + 1)
+    for width in range(1, 65):
+        w = rng.uniform(-1, 1, (fan_in, width)).astype(np.float32).astype(np.float64)
+        m = 1 + 53 * width % 128  # 64 distinct block sizes in 2-128
+        first = np.zeros((256, fan_in))
+        first[:m] = rng.integers(0, 256, (m, fan_in)) / 255.0
+        want = (first @ w)[:m]
+        for offset in sorted({*range(0, 256 - m, m), 256 - m}):
+            run = np.zeros((256, fan_in))
+            run[:offset] = rng.integers(0, 256, (offset, fan_in)) / 255.0
+            run[offset : offset + m] = first[:m]
+            assert np.array_equal((run @ w)[offset : offset + m], want), (
+                f"patch side {patch_side}, width {width}, {m} rows at offset {offset}: rows of a 256-row product "
+                "are not bit-equal to the same rows placed first in a zero-padded 256-row product, so this BLAS's "
+                "result for a row now depends on its offset, and the prompt batch's shared runs no longer give "
+                "mask2token's tokens"
             )

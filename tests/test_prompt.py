@@ -9,8 +9,8 @@ from regionrec.decoder import DecoderParams, assemble_sequence, make_vocab, prom
 from regionrec.encoder import GRID_SIDE, EncoderParams, encode
 from regionrec.harness import synthesize_mask_corpus
 from regionrec.maskio import RasterImage, RunLengthMask
-from regionrec.prompt import CONTEXT_SCALE, MaskTokenSet, build_prompt_batch, dump_token_set, mask2token
-from regionrec.region import context_crop_window, downsample_to_grid, extract_and_resize, tight_bbox
+from regionrec.prompt import CONTEXT_SCALE, MaskTokenSet, build_prompt_batch, dump_token_set, encode_global, mask2token
+from regionrec.region import context_crop_window, downsample_to_grid, extract_and_resize, resize_image, tight_bbox
 
 from conftest import oracle_grid_cells, random_mask, raster_downsample_to_grid, raster_tight_bbox, write_pgm
 
@@ -133,17 +133,80 @@ def test_permuted_masks_permute_token_sets_bit_identically(rng):
     assert np.array_equal(fwd.image_tokens.values, rev.image_tokens.values)
 
 
+def _mask_of_cells(cells):
+    """A 64x64 mask whose box is the whole image, so that at scale 1 grid
+    cell (r, c) holds pixels 4r..4r+3 x 4c..4c+3: one true pixel in each
+    given cell and in the two corner cells."""
+    bits = np.zeros((64, 64), bool)
+    bits[0, 0] = bits[63, 63] = True
+    for cell in cells:
+        r, c = divmod(int(cell), GRID_SIDE)
+        bits[4 * r + 1, 4 * c + 2] = True
+    return RunLengthMask.from_bits(bits)
+
+
+def _run_boundary_batches():
+    """(image, masks, scale, cell counts or None): consecutive masks whose
+    cells fill a 256-row projection run exactly or overflow it by one, full
+    256-cell masks, one-cell masks between them, and the 30-mask corpus."""
+    rng = np.random.default_rng(28)
+    img = _image(rng)
+    point = np.zeros((64, 64), bool)
+    point[20, 41] = True
+
+    def mask(count):
+        if count == 1:  # at scale 1 the window is the one pixel, in one cell
+            return RunLengthMask.from_bits(point)
+        if count == 256:
+            return RunLengthMask.from_bits(np.ones((64, 64), bool))
+        return _mask_of_cells(rng.choice(np.arange(1, 255), count - 2, replace=False))
+
+    batches = [
+        [100, 156, 1],  # the first two fill a run exactly
+        [100, 157, 2],  # the second overflows the run by one row
+        [255, 1, 256, 1],  # a full mask alone in its run, between two full runs
+        [256, 256],
+    ]
+    cases = [(img, [mask(n) for n in counts], 1.0, counts) for counts in batches]
+    corpus_img, corpus = synthesize_mask_corpus(30)
+    cases.append((corpus_img, corpus, CONTEXT_SCALE, None))
+    return cases
+
+
 def test_each_batch_set_equals_mask2token_alone(rng):
+    """Each set of a batch equals mask2token of its mask alone and the raster
+    oracles' tokens, whichever projection run its cells share."""
     img = _image(rng)
     masks = [random_mask(rng, 64, 64, p=float(rng.random() * 0.2 + 0.01)) for _ in range(5)]
-    batch = build_prompt_batch(img, masks, ENC)
-    for i, m in enumerate(masks):
-        alone = mask2token(img, m, ENC, mask_index=i)
-        assert np.array_equal(batch.mask_token_sets[i].tokens, alone.tokens)
-        assert np.array_equal(batch.mask_token_sets[i].grid_indices, alone.grid_indices)
+    cases = [(img, masks, CONTEXT_SCALE, None), *_run_boundary_batches()]
+    for enc in (ENC, EncoderParams.seeded(0, patch_side=28, dim=16)):
+        for img, masks, scale, counts in cases:
+            batch = build_prompt_batch(img, masks, enc, scale=scale)
+            if counts is not None:
+                assert [ts.count for ts in batch.mask_token_sets] == counts
+            for i, m in enumerate(masks):
+                alone = mask2token(img, m, enc, scale=scale, mask_index=i)
+                tokens, grid_indices = _raster_tokens(img, m, enc, scale)
+                for ts in (batch.mask_token_sets[i], alone):
+                    assert np.array_equal(ts.tokens, tokens) and np.array_equal(ts.grid_indices, grid_indices)
 
 
-def test_a_run_length_mask_is_decoded_once_and_tokenized_as_its_raster(rng, monkeypatch):
+@pytest.mark.parametrize(
+    "patch_side, height, width",
+    [(4, 40, 40), (4, 64, 64), (4, 100, 100), (4, 48, 80), (4, 90, 30), (28, 448, 448), (28, 300, 520)],
+)
+def test_global_bands_equal_the_whole_stretch_and_encode(patch_side, height, width):
+    """encode_global resamples one grid row at a time; it is bit-identical to
+    stretching the whole image and encoding it, for images smaller than the
+    encoder side (upscaled, so edge taps read the zero pad), equal to it,
+    larger than it, and not square."""
+    enc = EncoderParams.seeded(3, patch_side=patch_side, dim=16)
+    img = RasterImage(np.random.default_rng(height * width).integers(0, 256, (height, width)).astype(float))
+    side = patch_side * GRID_SIDE
+    assert np.array_equal(encode_global(img, enc).values, encode(resize_image(img, side, side), enc).values)
+
+
+def test_a_run_length_mask_is_tokenized_from_its_runs_as_its_raster(rng, monkeypatch):
     """Mask2Token reads the runs and decodes no raster; its tokens are the
     raster oracles'."""
     img = _image(rng)
